@@ -45,8 +45,10 @@
 //! makes the sweep point with that label (e.g. `fig8/Q6/l2_line=64`) panic,
 //! and `--point-deadline-ms N` times out any point slower than `N` ms.
 //!
-//! Exit codes: `0` success, `1` artifact write failure, `2` usage error,
-//! `3` partial results (one or more points or experiments failed; everything
+//! Exit codes: `0` success, `1` artifact write failure, `2` usage error (a
+//! bad flag value, an unknown experiment name — the error lists the valid
+//! ones — or an `--inject` label that matched no sweep point), `3` partial
+//! results (one or more points or experiments failed; everything
 //! that could run did, and the failures are listed in the `--bench-json`
 //! report's `point_errors` / `failed_experiments` arrays).
 //!
@@ -147,20 +149,15 @@ impl BenchLog {
         self.armed_rss = peak_rss_bytes();
     }
 
-    /// Records one experiment's wall-clock, the aggregate single-thread
-    /// compute it fanned out (their ratio is the parallel speedup), the
-    /// heap traffic its gate observed, pipeline utilization, and the peak
+    /// Records one experiment's wall-clock, the heap traffic its gate
+    /// observed, and — drained from the workbench — the aggregate
+    /// single-thread compute it fanned out (their ratio is the parallel
+    /// speedup), pipeline utilization, and checkpoint counts, plus the peak
     /// RSS of its own window. Stderr, to keep stdout diffable.
-    fn record(
-        &mut self,
-        label: &str,
-        wall: Duration,
-        compute: Duration,
-        heap: alloc::AllocReport,
-        pipe: PipelineSnapshot,
-        ckpt: (u64, u64),
-    ) {
-        let (points_loaded, points_computed) = ckpt;
+    fn record(&mut self, label: &str, wall: Duration, heap: alloc::AllocReport, wb: &Workbench) {
+        let compute = wb.take_sim_compute();
+        let pipe = wb.take_pipeline_stats();
+        let (points_loaded, points_computed) = wb.take_checkpoint_counts();
         let hwm = peak_rss_bytes();
         // With a working reset, `hwm` is this experiment's own peak; without
         // one it is process-monotone, so report how much it grew instead.
@@ -311,24 +308,206 @@ impl BenchLog {
     }
 }
 
-/// Runs one experiment block under `catch_unwind`, so a failure that escapes
-/// the fail-soft sweeps (a paired experiment that lost its partner point, a
-/// renderer handed an impossible shape) abandons that one experiment instead
-/// of the whole run. The abandonment is recorded for the exit code and the
-/// benchmark report.
-fn guarded(label: &str, failed: &mut Vec<String>, f: impl FnOnce()) {
-    if catch_unwind(AssertUnwindSafe(f)).is_err() {
-        eprintln!("  [{label}] ABANDONED — experiment failed; continuing with the rest");
-        failed.push(label.to_string());
+/// One experiment of the run: its name in the timing log, the command-line
+/// names that select it, whether it is an extension (selected by `ext`
+/// rather than by `all` or the default), and the function that runs it and
+/// renders to stdout. The function gets the selection predicate, so an
+/// entry serving several names prints only the ones asked for.
+struct Experiment {
+    name: &'static str,
+    selectors: &'static [&'static str],
+    ext: bool,
+    run: Run,
+}
+
+/// Whether the command line asked for the named output.
+type Want<'a> = &'a dyn Fn(&str) -> bool;
+
+/// Runs one experiment and renders it to stdout.
+type Run = fn(&mut Workbench, Want);
+
+impl Experiment {
+    /// One of the paper's tables or figures: run by default and by `all`.
+    const fn paper(name: &'static str, selectors: &'static [&'static str], run: Run) -> Self {
+        Experiment {
+            name,
+            selectors,
+            ext: false,
+            run,
+        }
+    }
+
+    /// An extension beyond the paper: run by `ext` or by its own name.
+    const fn ext(name: &'static str, selectors: &'static [&'static str], run: Run) -> Self {
+        Experiment {
+            name,
+            selectors,
+            ext: true,
+            run,
+        }
     }
 }
 
-/// Drains the sweep-point failures the workbench accumulated during one
-/// experiment, reporting each next to the experiment's timing line.
-fn drain_point_errors(wb: &mut Workbench, sink: &mut Vec<PointError>) {
-    for err in wb.take_point_errors() {
-        eprintln!("  point error: {err}");
-        sink.push(err);
+/// Every experiment, in output order.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment::paper("table1", &["table1"], run_table1),
+    Experiment::paper("fig6/fig7/rates", &["fig6", "fig7", "rates"], run_baselines),
+    Experiment::paper("fig8/fig9", &["fig8", "fig9"], run_line_sizes),
+    Experiment::paper("fig10/fig11", &["fig10", "fig11"], run_cache_sizes),
+    Experiment::paper("fig12", &["fig12"], run_reuse),
+    Experiment::paper("fig13", &["fig13"], run_prefetch),
+    Experiment::ext("ext-protocol", &["ext-protocol"], run_protocol),
+    Experiment::ext("ext-prefetch", &["ext-prefetch"], run_prefetch_depth),
+    Experiment::ext("ext-updates", &["ext-updates"], run_updates),
+    Experiment::ext("ext-intra", &["ext-intra"], run_intra),
+    Experiment::ext("ext-streams", &["ext-streams"], run_streams),
+    Experiment::ext("ext-procs", &["ext-procs"], run_procs),
+];
+
+fn run_table1(wb: &mut Workbench, _: Want) {
+    println!("{}", report::render_table1(&experiments::table1(&wb.db)));
+}
+
+/// Figures 6 and 7 and the quoted miss rates, from one baseline suite.
+fn run_baselines(wb: &mut Workbench, want: Want) {
+    let before = wb.point_error_count();
+    let baselines = wb.baseline_suite(&STUDIED_QUERIES);
+    let degraded = wb.point_error_count() > before;
+    if want("fig6") {
+        println!("{}", report::render_fig6a(&baselines));
+        println!("{}", report::render_fig6b(&baselines));
+        if degraded {
+            println!("  (fig6 shape checks skipped: suite degraded, see point errors)");
+        } else {
+            println!("{}", paper::render_checks(&paper::check_fig6(&baselines)));
+        }
+    }
+    if want("fig7") {
+        for b in &baselines {
+            println!("{}", report::render_fig7(b));
+        }
+        if degraded {
+            println!("  (fig7 shape checks skipped: suite degraded, see point errors)");
+        } else {
+            println!("{}", paper::render_checks(&paper::check_fig7(&baselines)));
+        }
+    }
+    if want("rates") {
+        let rates: Vec<_> = baselines.iter().map(experiments::miss_rates).collect();
+        println!("{}", report::render_miss_rates(&rates));
+    }
+}
+
+/// Figures 8 and 9, one line-size sweep per studied query.
+fn run_line_sizes(wb: &mut Workbench, want: Want) {
+    for q in STUDIED_QUERIES {
+        let before = wb.point_error_count();
+        let points = wb.line_size_sweep(q);
+        if wb.point_error_count() > before {
+            println!(
+                "Figure 8/9 ({}): skipped — sweep degraded, see point errors",
+                query_label(q)
+            );
+            continue;
+        }
+        if want("fig8") {
+            println!("{}", report::render_fig8(q, &points));
+            println!("{}", paper::render_checks(&paper::check_fig8(q, &points)));
+        }
+        if want("fig9") {
+            println!("{}", report::render_fig9(q, &points));
+            println!("{}", paper::render_checks(&paper::check_fig9(q, &points)));
+        }
+    }
+}
+
+/// Figures 10 and 11, one cache-size sweep per studied query.
+fn run_cache_sizes(wb: &mut Workbench, want: Want) {
+    for q in STUDIED_QUERIES {
+        let before = wb.point_error_count();
+        let points = wb.cache_size_sweep(q);
+        if wb.point_error_count() > before {
+            println!(
+                "Figure 10/11 ({}): skipped — sweep degraded, see point errors",
+                query_label(q)
+            );
+            continue;
+        }
+        if want("fig10") {
+            println!("{}", report::render_fig10(q, &points));
+            println!("{}", paper::render_checks(&paper::check_fig10(q, &points)));
+        }
+        if want("fig11") {
+            println!("{}", report::render_fig11(q, &points));
+            println!("{}", paper::render_checks(&paper::check_fig11(q, &points)));
+        }
+    }
+}
+
+fn run_reuse(wb: &mut Workbench, _: Want) {
+    let q3 = wb.reuse_experiment(3, 12);
+    let q12 = wb.reuse_experiment(12, 3);
+    println!("{}", report::render_fig12(&q3));
+    println!("{}", report::render_fig12(&q12));
+    println!("{}", paper::render_checks(&paper::check_fig12(&q3, &q12)));
+}
+
+fn run_prefetch(wb: &mut Workbench, _: Want) {
+    let pairs: Vec<_> = STUDIED_QUERIES
+        .iter()
+        .map(|q| wb.prefetch_experiment(*q))
+        .collect();
+    println!("{}", report::render_fig13(&pairs));
+    println!("{}", paper::render_checks(&paper::check_fig13(&pairs)));
+}
+
+fn run_protocol(wb: &mut Workbench, _: Want) {
+    let ablations: Vec<_> = STUDIED_QUERIES
+        .iter()
+        .map(|q| wb.protocol_ablation(*q))
+        .collect();
+    println!("{}", report::render_ext_protocol(&ablations));
+}
+
+fn run_prefetch_depth(wb: &mut Workbench, _: Want) {
+    for q in [6u8, 12] {
+        let points = wb.prefetch_degree_sweep(q);
+        println!("{}", report::render_ext_prefetch(q, &points));
+    }
+}
+
+fn run_updates(wb: &mut Workbench, _: Want) {
+    let runs = experiments::update_experiment(wb, dss_tpcd::PAPER_SCALE);
+    println!("{}", report::render_ext_updates(&runs));
+}
+
+fn run_intra(wb: &mut Workbench, _: Want) {
+    let runs = experiments::intra_query_experiment(wb);
+    println!("{}", report::render_ext_intra(&runs));
+}
+
+fn run_streams(wb: &mut Workbench, _: Want) {
+    let baselines = wb.baseline_suite(&STUDIED_QUERIES);
+    let runs = experiments::stream_experiment(wb, &[3, 6, 12]);
+    println!("{}", report::render_ext_streams(&runs, &baselines));
+}
+
+fn run_procs(wb: &mut Workbench, _: Want) {
+    for q in STUDIED_QUERIES {
+        let points = wb.processor_sweep(q);
+        println!("{}", report::render_ext_procs(q, &points));
+    }
+}
+
+/// Parses one flag's value, or exits with a usage error (code 2) stating
+/// what the flag needs when the value is missing or malformed.
+fn usage<T>(value: Option<String>, parse: impl FnOnce(&str) -> Option<T>, needs: &str) -> T {
+    match value.as_deref().and_then(parse) {
+        Some(v) => v,
+        None => {
+            eprintln!("error: {needs}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -345,122 +524,46 @@ fn main() {
     let mut names = BTreeSet::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
-        if arg == "--resume" {
-            resume = true;
-            continue;
-        }
-        if arg == "--state-dir" {
-            match argv.next() {
-                Some(path) => state_dir = Some(path),
-                None => {
-                    eprintln!("error: --state-dir needs a path");
-                    std::process::exit(2);
-                }
-            }
-            continue;
-        }
-        if let Some(path) = arg.strip_prefix("--state-dir=") {
-            state_dir = Some(path.to_string());
-            continue;
-        }
-        if arg == "--sf" || arg.starts_with("--sf=") {
-            let value = arg
-                .strip_prefix("--sf=")
-                .map(str::to_string)
-                .or_else(|| argv.next());
-            match value.as_deref().map(str::parse::<f64>) {
-                Some(Ok(s)) if s > 0.0 => sf = Some(s),
-                _ => {
-                    eprintln!("error: --sf needs a positive scale factor (e.g. --sf 0.05)");
-                    std::process::exit(2);
-                }
-            }
-            continue;
-        }
-        if arg == "--trace-mode" || arg.starts_with("--trace-mode=") {
-            let value = arg
-                .strip_prefix("--trace-mode=")
-                .map(str::to_string)
-                .or_else(|| argv.next());
-            match value.as_deref() {
-                Some("materialized") => trace_mode = TraceMode::Materialized,
-                Some("streamed") => trace_mode = TraceMode::Streamed,
-                _ => {
-                    eprintln!("error: --trace-mode must be `streamed` or `materialized`");
-                    std::process::exit(2);
-                }
-            }
-            continue;
-        }
-        if arg == "--bench-json" {
-            match argv.next() {
-                Some(path) => bench_json = Some(path),
-                None => {
-                    eprintln!("error: --bench-json needs a path");
-                    std::process::exit(2);
-                }
-            }
-            continue;
-        }
-        if let Some(path) = arg.strip_prefix("--bench-json=") {
-            bench_json = Some(path.to_string());
-            continue;
-        }
-        if arg == "--inject" {
-            match argv.next() {
-                Some(label) => inject = Some(label),
-                None => {
-                    eprintln!("error: --inject needs a sweep-point label");
-                    std::process::exit(2);
-                }
-            }
-            continue;
-        }
-        if let Some(label) = arg.strip_prefix("--inject=") {
-            inject = Some(label.to_string());
-            continue;
-        }
-        if arg == "--point-deadline-ms" || arg.starts_with("--point-deadline-ms=") {
-            let value = arg
-                .strip_prefix("--point-deadline-ms=")
-                .map(str::to_string)
-                .or_else(|| argv.next());
-            match value.as_deref().map(str::parse) {
-                Some(Ok(ms)) => deadline_ms = Some(ms),
-                _ => {
-                    eprintln!("error: --point-deadline-ms needs a number of milliseconds");
-                    std::process::exit(2);
-                }
-            }
-            continue;
-        }
-        if arg == "--gen-jobs" || arg.starts_with("--gen-jobs=") {
-            let value = arg
-                .strip_prefix("--gen-jobs=")
-                .map(str::to_string)
-                .or_else(|| argv.next());
-            match value.as_deref().map(str::parse) {
-                Some(Ok(n)) => gen_jobs = Some(n),
-                _ => {
-                    eprintln!("error: --gen-jobs needs a number (e.g. --gen-jobs 2)");
-                    std::process::exit(2);
-                }
-            }
-            continue;
-        }
-        let value = if arg == "--jobs" {
-            argv.next()
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            Some(v.to_string())
-        } else {
-            names.insert(arg);
-            continue;
+        // Every valued flag takes `--flag VALUE` or `--flag=VALUE`.
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) if flag.starts_with("--") => (flag, Some(value.to_string())),
+            _ => (arg.as_str(), None),
         };
-        match value.as_deref().map(str::parse) {
-            Some(Ok(n)) => jobs = Some(n),
+        let mut value = || inline.clone().or_else(|| argv.next());
+        let text = |v: &str| Some(v.to_string());
+        match flag {
+            "--resume" if inline.is_none() => resume = true,
+            "--state-dir" => state_dir = Some(usage(value(), text, "--state-dir needs a path")),
+            "--bench-json" => bench_json = Some(usage(value(), text, "--bench-json needs a path")),
+            "--inject" => inject = Some(usage(value(), text, "--inject needs a sweep-point label")),
+            "--sf" => {
+                let positive = |v: &str| v.parse().ok().filter(|s: &f64| *s > 0.0);
+                let msg = "--sf needs a positive scale factor (e.g. --sf 0.05)";
+                sf = Some(usage(value(), positive, msg));
+            }
+            "--trace-mode" => {
+                let mode = |v: &str| match v {
+                    "materialized" => Some(TraceMode::Materialized),
+                    "streamed" => Some(TraceMode::Streamed),
+                    _ => None,
+                };
+                let msg = "--trace-mode must be `streamed` or `materialized`";
+                trace_mode = usage(value(), mode, msg);
+            }
+            "--point-deadline-ms" => {
+                let msg = "--point-deadline-ms needs a number of milliseconds";
+                deadline_ms = Some(usage(value(), |v| v.parse().ok(), msg));
+            }
+            "--gen-jobs" => {
+                let msg = "--gen-jobs needs a number (e.g. --gen-jobs 2)";
+                gen_jobs = Some(usage(value(), |v| v.parse().ok(), msg));
+            }
+            "--jobs" => {
+                let msg = "--jobs needs a number (e.g. --jobs 4)";
+                jobs = Some(usage(value(), |v| v.parse().ok(), msg));
+            }
             _ => {
-                eprintln!("error: --jobs needs a number (e.g. --jobs 4)");
-                std::process::exit(2);
+                names.insert(arg);
             }
         }
     }
@@ -468,12 +571,20 @@ fn main() {
         eprintln!("error: --resume needs --state-dir (the journal and trace files to resume from)");
         std::process::exit(2);
     }
-    let args = names;
+    let valid: Vec<&str> = ["all", "ext"]
+        .into_iter()
+        .chain(EXPERIMENTS.iter().flat_map(|e| e.selectors.iter().copied()))
+        .collect();
+    if let Some(unknown) = names.iter().find(|n| !valid.contains(&n.as_str())) {
+        eprintln!(
+            "error: unknown experiment `{unknown}`; valid names: {}",
+            valid.join(", ")
+        );
+        std::process::exit(2);
+    }
     let mut log = BenchLog::default();
     let mut point_errors: Vec<PointError> = Vec::new();
     let mut failed: Vec<String> = Vec::new();
-    let want = |name: &str| args.is_empty() || args.contains("all") || args.contains(name);
-    let want_ext = |name: &str| args.contains("ext") || args.contains(name);
 
     let start = Instant::now();
     let mut config = DbConfig::default();
@@ -561,9 +672,9 @@ fn main() {
         }
     }
     wb.set_fail_soft(true);
-    if let Some(label) = inject {
+    if let Some(label) = &inject {
         eprintln!("fault injection armed: sweep point `{label}` will panic");
-        wb.set_sabotage(Some(label));
+        wb.set_sabotage(Some(label.clone()));
     }
     if let Some(ms) = deadline_ms {
         wb.set_point_deadline(Some(Duration::from_millis(ms)));
@@ -582,301 +693,36 @@ fn main() {
         wb.db.space.mapped_bytes() / 1_000_000,
     );
 
-    if want("table1") {
+    for exp in EXPERIMENTS {
+        let group = if exp.ext {
+            names.contains("ext")
+        } else {
+            names.is_empty() || names.contains("all")
+        };
+        let want = |name: &str| group || names.contains(name);
+        if !exp.selectors.iter().any(|name| want(name)) {
+            continue;
+        }
         let t = Instant::now();
         let g = alloc::AllocGate::begin();
         log.arm();
-        guarded("table1", &mut failed, || {
-            let rows = experiments::table1(&wb.db);
-            println!("{}", report::render_table1(&rows));
-        });
-        log.record(
-            "table1",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_pipeline_stats(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-
-    if want("fig6") || want("fig7") || want("rates") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("fig6/fig7/rates", &mut failed, || {
-            let before = wb.point_error_count();
-            let baselines = wb.baseline_suite(&STUDIED_QUERIES);
-            let degraded = wb.point_error_count() > before;
-            if want("fig6") {
-                println!("{}", report::render_fig6a(&baselines));
-                println!("{}", report::render_fig6b(&baselines));
-                if degraded {
-                    println!("  (fig6 shape checks skipped: suite degraded, see point errors)");
-                } else {
-                    println!("{}", paper::render_checks(&paper::check_fig6(&baselines)));
-                }
-            }
-            if want("fig7") {
-                for b in &baselines {
-                    println!("{}", report::render_fig7(b));
-                }
-                if degraded {
-                    println!("  (fig7 shape checks skipped: suite degraded, see point errors)");
-                } else {
-                    println!("{}", paper::render_checks(&paper::check_fig7(&baselines)));
-                }
-            }
-            if want("rates") {
-                let rates: Vec<_> = baselines.iter().map(experiments::miss_rates).collect();
-                println!("{}", report::render_miss_rates(&rates));
-            }
-        });
-        log.record(
-            "fig6/fig7/rates",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_pipeline_stats(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-
-    if want("fig8") || want("fig9") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("fig8/fig9", &mut failed, || {
-            for q in STUDIED_QUERIES {
-                let before = wb.point_error_count();
-                let points = wb.line_size_sweep(q);
-                if wb.point_error_count() > before {
-                    println!(
-                        "Figure 8/9 ({}): skipped — sweep degraded, see point errors",
-                        query_label(q)
-                    );
-                    continue;
-                }
-                if want("fig8") {
-                    println!("{}", report::render_fig8(q, &points));
-                    println!("{}", paper::render_checks(&paper::check_fig8(q, &points)));
-                }
-                if want("fig9") {
-                    println!("{}", report::render_fig9(q, &points));
-                    println!("{}", paper::render_checks(&paper::check_fig9(q, &points)));
-                }
-            }
-        });
-        log.record(
-            "fig8/fig9",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_pipeline_stats(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-
-    if want("fig10") || want("fig11") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("fig10/fig11", &mut failed, || {
-            for q in STUDIED_QUERIES {
-                let before = wb.point_error_count();
-                let points = wb.cache_size_sweep(q);
-                if wb.point_error_count() > before {
-                    println!(
-                        "Figure 10/11 ({}): skipped — sweep degraded, see point errors",
-                        query_label(q)
-                    );
-                    continue;
-                }
-                if want("fig10") {
-                    println!("{}", report::render_fig10(q, &points));
-                    println!("{}", paper::render_checks(&paper::check_fig10(q, &points)));
-                }
-                if want("fig11") {
-                    println!("{}", report::render_fig11(q, &points));
-                    println!("{}", paper::render_checks(&paper::check_fig11(q, &points)));
-                }
-            }
-        });
-        log.record(
-            "fig10/fig11",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_pipeline_stats(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-
-    if want("fig12") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("fig12", &mut failed, || {
-            let q3 = wb.reuse_experiment(3, 12);
-            let q12 = wb.reuse_experiment(12, 3);
-            println!("{}", report::render_fig12(&q3));
-            println!("{}", report::render_fig12(&q12));
-            println!("{}", paper::render_checks(&paper::check_fig12(&q3, &q12)));
-        });
-        log.record(
-            "fig12",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_pipeline_stats(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-
-    if want("fig13") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("fig13", &mut failed, || {
-            let pairs: Vec<_> = STUDIED_QUERIES
-                .iter()
-                .map(|q| wb.prefetch_experiment(*q))
-                .collect();
-            println!("{}", report::render_fig13(&pairs));
-            println!("{}", paper::render_checks(&paper::check_fig13(&pairs)));
-        });
-        log.record(
-            "fig13",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_pipeline_stats(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-
-    // Extension experiments (not in the paper): run with `ext` or by name.
-    if want_ext("ext-protocol") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("ext-protocol", &mut failed, || {
-            let ablations: Vec<_> = STUDIED_QUERIES
-                .iter()
-                .map(|q| wb.protocol_ablation(*q))
-                .collect();
-            println!("{}", report::render_ext_protocol(&ablations));
-        });
-        log.record(
-            "ext-protocol",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_pipeline_stats(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-    if want_ext("ext-prefetch") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("ext-prefetch", &mut failed, || {
-            for q in [6u8, 12] {
-                let points = wb.prefetch_degree_sweep(q);
-                println!("{}", report::render_ext_prefetch(q, &points));
-            }
-        });
-        log.record(
-            "ext-prefetch",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_pipeline_stats(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-    if want_ext("ext-updates") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("ext-updates", &mut failed, || {
-            let runs = experiments::update_experiment(dss_tpcd::PAPER_SCALE);
-            println!("{}", report::render_ext_updates(&runs));
-        });
-        log.record(
-            "ext-updates",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_pipeline_stats(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-    if want_ext("ext-intra") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("ext-intra", &mut failed, || {
-            let runs = experiments::intra_query_experiment(&mut wb);
-            println!("{}", report::render_ext_intra(&runs));
-        });
-        log.record(
-            "ext-intra",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_pipeline_stats(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-    if want_ext("ext-streams") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("ext-streams", &mut failed, || {
-            let baselines = wb.baseline_suite(&STUDIED_QUERIES);
-            let runs = experiments::stream_experiment(&mut wb, &[3, 6, 12]);
-            println!("{}", report::render_ext_streams(&runs, &baselines));
-        });
-        log.record(
-            "ext-streams",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_pipeline_stats(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
-    }
-    if want_ext("ext-procs") {
-        let t = Instant::now();
-        let g = alloc::AllocGate::begin();
-        log.arm();
-        guarded("ext-procs", &mut failed, || {
-            for q in STUDIED_QUERIES {
-                let points = wb.processor_sweep(q);
-                println!("{}", report::render_ext_procs(q, &points));
-            }
-        });
-        log.record(
-            "ext-procs",
-            t.elapsed(),
-            wb.take_sim_compute(),
-            g.end(),
-            wb.take_pipeline_stats(),
-            wb.take_checkpoint_counts(),
-        );
-        drain_point_errors(&mut wb, &mut point_errors);
+        // Under `catch_unwind`, a failure that escapes the fail-soft sweeps
+        // (a paired experiment that lost its partner point, a renderer
+        // handed an impossible shape) abandons this one experiment instead
+        // of the whole run; the abandonment is recorded for the exit code
+        // and the benchmark report.
+        if catch_unwind(AssertUnwindSafe(|| (exp.run)(&mut wb, &want))).is_err() {
+            eprintln!(
+                "  [{}] ABANDONED — experiment failed; continuing with the rest",
+                exp.name
+            );
+            failed.push(exp.name.to_string());
+        }
+        log.record(exp.name, t.elapsed(), g.end(), &wb);
+        for err in wb.take_point_errors() {
+            eprintln!("  point error: {err}");
+            point_errors.push(err);
+        }
     }
 
     let total = start.elapsed();
@@ -906,6 +752,10 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("benchmark timings written to {path}");
+    }
+    if let Some(label) = inject.filter(|_| !wb.sabotage_matched()) {
+        eprintln!("error: --inject label {label} matched no sweep point");
+        std::process::exit(2);
     }
     if !point_errors.is_empty() || !failed.is_empty() {
         eprintln!(

@@ -23,12 +23,13 @@
 //! nested discipline checked by [`check_lock_discipline`] — the detector
 //! validates that first and refuses to analyze ill-formed traces.
 //!
-//! Two entry points share the replay: [`detect_races`] over materialized
-//! traces (discipline pre-checked, trace by trace), and
-//! [`detect_races_source`] over any [`TraceSource`] — it holds one event
-//! block per processor and checks the discipline incrementally as events
-//! stream past, so block files are analyzable without ever materializing a
-//! trace. Both produce identical [`RaceReport`]s for the same events.
+//! The replay is [`detect_races_source`], over any [`TraceSource`]: it holds
+//! one event block per processor and checks the discipline incrementally as
+//! events stream past, so block files are analyzable without ever
+//! materializing a trace. [`detect_races`] is its materialized-trace form,
+//! which checks the discipline trace by trace up front first (so of several
+//! violations it reports the first in processor order). Both produce
+//! identical [`RaceReport`]s for the same events.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -202,81 +203,7 @@ pub fn detect_races(traces: &[Trace]) -> Result<RaceReport, RaceAnalysisError> {
             error,
         })?;
     }
-    let n = traces.len();
-    let mut report = RaceReport::default();
-    let mut clocks: Vec<VClock> = (0..n).map(|_| VClock::new(n)).collect();
-    for (p, c) in clocks.iter_mut().enumerate() {
-        c.0[p] = 1; // Epoch 0 means "no access recorded".
-    }
-    let mut pos = vec![0usize; n];
-    let mut time = vec![0u64; n];
-    let mut parked = vec![false; n];
-    let mut locks: BTreeMap<u64, LockState> = BTreeMap::new();
-    let mut words: BTreeMap<u64, WordState> = BTreeMap::new();
-
-    loop {
-        // Deterministic merge: the runnable processor with the least
-        // (time, id) steps next, exactly like the simulator's event queue.
-        let Some(p) = (0..n)
-            .filter(|&p| pos[p] < traces[p].events.len() && !parked[p])
-            .min_by_key(|&p| (time[p], p))
-        else {
-            if (0..n).any(|p| pos[p] < traces[p].events.len()) {
-                return Err(RaceAnalysisError::Deadlock);
-            }
-            break;
-        };
-        let index = pos[p];
-        match traces[p].events[index] {
-            Event::Busy(cycles) => {
-                time[p] += cycles as u64;
-                pos[p] += 1;
-            }
-            Event::Ref(r) => {
-                if r.class.is_shared() {
-                    check_ref(p, index, &r, &clocks[p], &mut words, &mut report);
-                    *report.checked.entry(r.class).or_insert(0) += 1;
-                }
-                time[p] += 1;
-                pos[p] += 1;
-            }
-            Event::LockAcquire(tok) => {
-                let lock = locks.entry(tok.addr).or_default();
-                match lock.holder {
-                    Some(holder) if holder != p => {
-                        lock.waiters.push(p);
-                        parked[p] = true;
-                    }
-                    _ => {
-                        lock.holder = Some(p);
-                        // Acquire edge: everything before the last release
-                        // happened before this critical section.
-                        let released = lock.released.clone();
-                        clocks[p].join(&released);
-                        time[p] += 1;
-                        pos[p] += 1;
-                    }
-                }
-            }
-            Event::LockRelease(tok) => {
-                let release_time = time[p] + 1;
-                let released = clocks[p].clone();
-                let lock = locks.entry(tok.addr).or_default();
-                debug_assert_eq!(lock.holder, Some(p), "discipline checked above");
-                lock.released = released;
-                lock.holder = None;
-                // Wake every waiter; they re-contend in deterministic order.
-                for w in lock.waiters.drain(..) {
-                    parked[w] = false;
-                    time[w] = time[w].max(release_time);
-                }
-                clocks[p].0[p] += 1;
-                time[p] = release_time;
-                pos[p] += 1;
-            }
-        }
-    }
-    Ok(report)
+    detect_races_source(traces)
 }
 
 /// One processor's replay cursor over a streamed trace: the current block,
@@ -373,10 +300,10 @@ where
     let mut words: BTreeMap<u64, WordState> = BTreeMap::new();
 
     loop {
-        // Deterministic merge, exactly as in [`detect_races`]: the runnable
-        // processor with the least (time, id) steps next. A parked processor
-        // is unfinished by definition; an unparked one is runnable when its
-        // cursor still yields an event.
+        // Deterministic merge: the runnable processor with the least
+        // (time, id) steps next, exactly like the simulator's event queue.
+        // A parked processor is unfinished by definition; an unparked one
+        // is runnable when its cursor still yields an event.
         let mut next: Option<(usize, Event)> = None;
         let mut unfinished = false;
         for p in 0..n {

@@ -1,9 +1,10 @@
 //! Runners for every table and figure in the paper's evaluation.
 //!
-//! The experiment API lives on [`Workbench`]: each method generates (or
-//! reuses) the traces it needs and runs the memory-hierarchy simulator at the
-//! appropriate configurations, fanning independent sweep points across up to
-//! [`Workbench::jobs`] worker threads through [`crate::sim_points`] — with
+//! The experiment API lives on [`Workbench`]: each method describes its
+//! sweep points — a label, a machine configuration, and the trace
+//! populations to replay — and hands them to the workbench's one sweep-point
+//! runner, which serves journaled points, generates the traces the rest
+//! need, and fans them across up to [`Workbench::jobs`] worker threads with
 //! results bit-identical to a serial run at any job count. The returned
 //! structs carry raw [`SimStats`]; rendering to the paper's chart shapes
 //! lives in [`crate::report`].
@@ -14,17 +15,17 @@
 
 use std::panic::resume_unwind;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Instant;
 
 use dss_faultkit::crash::crash_point;
-use dss_memsim::{Machine, MachineConfig, SimStats};
+use dss_memsim::{MachineConfig, SimStats};
 use dss_query::{Database, PlanFeatures};
 use dss_tpcd::params;
+use dss_trace::Trace;
 
 use crate::degrade::PointError;
-use crate::sim::{run_point_pipelined, run_point_source, run_soft, split_jobs, SoftFailure};
-use crate::workload::{SimSource, Workbench};
+use crate::sim::{run_point, run_soft, split_jobs, SoftFailure};
+use crate::workload::{query_label, SimSource, Workbench};
 
 /// L2 line sizes swept by Figures 8 and 9 (L1 lines are half).
 pub const LINE_SIZES: [u64; 5] = [16, 32, 64, 128, 256];
@@ -127,63 +128,127 @@ pub struct ProtocolAblation {
     pub mesi: SimStats,
 }
 
+/// One sweep point: a label (its checkpoint-journal key and sabotage
+/// target), a machine configuration, and the trace populations replayed in
+/// order on one fresh machine. The point's result is the statistics of the
+/// last replay; earlier replays only warm the caches.
+struct Point {
+    label: String,
+    cfg: MachineConfig,
+    sources: Vec<PointSource>,
+}
+
+/// A trace population a [`Point`] replays.
+enum PointSource {
+    /// `(query, seed_base)`, resolved through [`Workbench::source`] only
+    /// when the point actually has to be simulated.
+    Query(u8, u64),
+    /// A population the experiment generated itself.
+    Given(SimSource),
+}
+
+impl Point {
+    /// A point replaying `query`'s seed-0 population once (the common
+    /// sweep shape).
+    fn query(label: String, cfg: MachineConfig, query: u8) -> Point {
+        Point {
+            label,
+            cfg,
+            sources: vec![PointSource::Query(query, 0)],
+        }
+    }
+
+    /// A point replaying a set the experiment traced itself on the
+    /// baseline machine.
+    fn given(label: String, traces: Vec<Trace>) -> Point {
+        Point {
+            label,
+            cfg: MachineConfig::baseline(),
+            sources: vec![PointSource::Given(SimSource::Set(traces.into()))],
+        }
+    }
+}
+
 impl Workbench {
-    /// Fans labeled `(config, trace source)` points across this workbench's
-    /// worker threads, recording compute time for
-    /// [`Workbench::take_sim_compute`].
-    ///
-    /// Fail-hard (the default): a panicking point propagates, exactly as
-    /// [`crate::sim_points`] does, and every slot is `Some`. Fail-soft
-    /// ([`Workbench::set_fail_soft`]): each point runs under `catch_unwind`
-    /// with the optional point deadline, a failed point is recorded as a
-    /// [`PointError`] under its label and yields `None`, and the remaining
-    /// points still run. The sabotage hook ([`Workbench::set_sabotage`])
-    /// panics the matching point in either mode.
+    /// The one sweep-point runner: fans `points` across this workbench's
+    /// worker threads (the budget [`split_jobs`] leaves after
+    /// [`Workbench::set_gen_jobs`]'s producers), recording compute time for
+    /// [`Workbench::take_sim_compute`]. Results come back in point order at
+    /// any job count.
     ///
     /// With a checkpoint journal attached ([`Workbench::set_checkpoint`]),
-    /// points the journal already holds are served from it — no simulation,
-    /// no sabotage, no compute time — and each newly computed point is
-    /// durably appended the moment its worker finishes it, so an interrupted
-    /// sweep resumes from the last completed point, not the last completed
-    /// experiment.
-    fn fan_out_labeled(
-        &mut self,
-        labels: &[String],
-        tasks: &[(MachineConfig, SimSource)],
-        seed: u64,
-    ) -> Vec<Option<SimStats>> {
-        debug_assert_eq!(labels.len(), tasks.len());
-        let sabotage = self.sabotage.clone();
-        let clock = Arc::clone(&self.sim_nanos);
-        let gen_jobs = self.gen_jobs;
-        let pipe = Arc::clone(&self.pipe_stats);
-        let checkpoint = self.checkpoint.clone();
-        let computed_ctr = Arc::clone(&self.ckpt_computed);
-        // Journal lookups happen up front on this thread; workers then see a
-        // plain preloaded slot and skip the simulation entirely.
-        let preloaded: Vec<Option<SimStats>> = labels
+    /// points the journal already holds are served from it before anything
+    /// else happens — no trace generation, no simulation, no sabotage, no
+    /// compute time — and each newly computed point is durably appended the
+    /// moment its worker finishes it, so an interrupted sweep resumes from
+    /// the last completed point, not the last completed experiment. The
+    /// remaining points' sources are then resolved in point order.
+    ///
+    /// Fail-hard (the default): a panicking point propagates and every slot
+    /// is `Some`. Fail-soft ([`Workbench::set_fail_soft`]): each point runs
+    /// under `catch_unwind` with the optional point deadline, a failed point
+    /// is recorded as a [`PointError`] under its label and yields `None`,
+    /// and the remaining points still run. The sabotage hook
+    /// ([`Workbench::set_sabotage`]) panics the matching point in either
+    /// mode.
+    fn fan_out_labeled(&mut self, points: Vec<Point>) -> Vec<Option<SimStats>> {
+        // Every point is journaled under seed 0; its sources carry their
+        // own seed bases.
+        let seed = 0;
+        let preloaded: Vec<Option<SimStats>> = points
             .iter()
-            .map(|label| {
-                checkpoint.as_ref().and_then(|j| {
+            .map(|point| {
+                self.checkpoint.as_ref().and_then(|j| {
                     j.lock()
                         .unwrap_or_else(|p| p.into_inner())
-                        .lookup(label, seed)
+                        .lookup(&point.label, seed)
                         .cloned()
                 })
             })
             .collect();
         let nloaded = preloaded.iter().filter(|p| p.is_some()).count() as u64;
         self.ckpt_loaded.fetch_add(nloaded, Ordering::Relaxed);
-        let points: Vec<_> = tasks
+        if let Some(target) = &self.sabotage {
+            self.sabotage_matched |= points.iter().any(|p| &p.label == target);
+        }
+        // Sources come next (trace generation needs `&mut self`); the
+        // workers then share them immutably. Each distinct population is
+        // resolved once, in order of first use, and held here for the whole
+        // call even if the trace cache evicts it meanwhile.
+        let mut held: Vec<((u8, u64), SimSource)> = Vec::new();
+        let mut resolved: Vec<Vec<SimSource>> = Vec::with_capacity(points.len());
+        for (point, pre) in points.iter().zip(&preloaded) {
+            let mut sources = Vec::new();
+            for src in point.sources.iter().filter(|_| pre.is_none()) {
+                sources.push(match *src {
+                    PointSource::Query(q, seed_base) => {
+                        match held.iter().find(|(key, _)| *key == (q, seed_base)) {
+                            Some((_, src)) => src.clone(),
+                            None => {
+                                let src = self.source(q, seed_base);
+                                held.push(((q, seed_base), src.clone()));
+                                src
+                            }
+                        }
+                    }
+                    PointSource::Given(ref src) => src.clone(),
+                });
+            }
+            resolved.push(sources);
+        }
+
+        let checkpoint = self.checkpoint.as_ref();
+        let sabotage = self.sabotage.as_deref();
+        let clock = &self.sim_nanos;
+        let gen_jobs = self.gen_jobs;
+        let pipe = &self.pipe_stats;
+        let computed_ctr = &self.ckpt_computed;
+        let tasks: Vec<_> = points
             .iter()
-            .zip(labels)
+            .zip(&resolved)
             .zip(&preloaded)
-            .map(|(((cfg, source), label), pre)| {
-                let sabotage = sabotage.as_deref();
-                let clock = &clock;
-                let pipe = &pipe;
-                let checkpoint = checkpoint.as_ref();
-                let computed_ctr = &computed_ctr;
+            .map(|((point, sources), pre)| {
+                let label = &point.label;
                 move || {
                     if let Some(stats) = pre {
                         return stats.clone();
@@ -192,11 +257,7 @@ impl Workbench {
                         panic!("injected: sweep point {label} sabotaged");
                     }
                     let start = Instant::now();
-                    let stats = if gen_jobs > 0 {
-                        run_point_pipelined(cfg, source, gen_jobs, pipe)
-                    } else {
-                        run_point_source(cfg, source)
-                    };
+                    let stats = run_point(&point.cfg, sources, gen_jobs, pipe);
                     clock.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     if let Some(journal) = checkpoint {
                         crash_point("crash.point.pre-journal");
@@ -220,16 +281,16 @@ impl Workbench {
             None
         };
         let (sim_jobs, _) = split_jobs(self.jobs(), gen_jobs);
-        let outcomes = run_soft(sim_jobs, &points, deadline);
-        drop(points);
+        let outcomes = run_soft(sim_jobs, &tasks, deadline);
+        drop(tasks);
         outcomes
             .into_iter()
-            .zip(labels)
-            .map(|(outcome, label)| match outcome {
+            .zip(points)
+            .map(|(outcome, point)| match outcome {
                 Ok(stats) => Some(stats),
                 Err(failure) if self.fail_soft => {
                     self.point_errors.push(PointError {
-                        site: label.clone(),
+                        site: point.label,
                         cause: failure.cause,
                         seed,
                     });
@@ -239,23 +300,22 @@ impl Workbench {
                     payload: Some(payload),
                     ..
                 }) => resume_unwind(payload),
-                Err(failure) => panic!("sweep point {label} failed: {}", failure.cause),
+                Err(failure) => panic!("sweep point {} failed: {}", point.label, failure.cause),
             })
             .collect()
     }
 
-    /// Fans `configs` over one shared trace source (the common sweep shape).
-    fn fan_out(
+    /// Fans `(label, config)` points over `query`'s seed-0 population.
+    fn sweep(
         &mut self,
-        source: &SimSource,
-        configs: &[MachineConfig],
-        labels: &[String],
+        query: u8,
+        points: impl IntoIterator<Item = (String, MachineConfig)>,
     ) -> Vec<Option<SimStats>> {
-        let tasks: Vec<(MachineConfig, SimSource)> = configs
-            .iter()
-            .map(|c| (c.clone(), source.clone()))
+        let points = points
+            .into_iter()
+            .map(|(label, cfg)| Point::query(label, cfg, query))
             .collect();
-        self.fan_out_labeled(labels, &tasks, 0)
+        self.fan_out_labeled(points)
     }
 
     /// Runs the baseline architecture for one query.
@@ -277,15 +337,11 @@ impl Workbench {
     /// ones), one sweep point per query. In fail-soft mode, failed points
     /// are skipped (and recorded as [`PointError`]s).
     pub fn baseline_suite(&mut self, queries: &[u8]) -> Vec<QueryBaseline> {
-        let tasks: Vec<(MachineConfig, SimSource)> = queries
+        let points = queries
             .iter()
-            .map(|&q| (MachineConfig::baseline(), self.source(q, 0)))
+            .map(|&q| Point::query(format!("fig6/Q{q}/baseline"), MachineConfig::baseline(), q))
             .collect();
-        let labels: Vec<String> = queries
-            .iter()
-            .map(|&q| format!("fig6/Q{q}/baseline"))
-            .collect();
-        let stats = self.fan_out_labeled(&labels, &tasks, 0);
+        let stats = self.fan_out_labeled(points);
         queries
             .iter()
             .zip(stats)
@@ -296,16 +352,13 @@ impl Workbench {
     /// Figures 8 and 9: sweep the cache line size for one query. In
     /// fail-soft mode, failed points are skipped (and recorded).
     pub fn line_size_sweep(&mut self, query: u8) -> Vec<LinePoint> {
-        let traces = self.source(query, 0);
-        let configs: Vec<MachineConfig> = LINE_SIZES
-            .iter()
-            .map(|&l| MachineConfig::baseline().with_line_size(l))
-            .collect();
-        let labels: Vec<String> = LINE_SIZES
-            .iter()
-            .map(|&l| format!("fig8/Q{query}/l2_line={l}"))
-            .collect();
-        let stats = self.fan_out(&traces, &configs, &labels);
+        let stats = self.sweep(
+            query,
+            LINE_SIZES.iter().map(|&l| {
+                let cfg = MachineConfig::baseline().with_line_size(l);
+                (format!("fig8/Q{query}/l2_line={l}"), cfg)
+            }),
+        );
         LINE_SIZES
             .iter()
             .zip(stats)
@@ -316,16 +369,13 @@ impl Workbench {
     /// Figures 10 and 11: sweep the cache sizes for one query (64-byte L2
     /// lines, as the paper uses for its temporal-locality studies).
     pub fn cache_size_sweep(&mut self, query: u8) -> Vec<CachePoint> {
-        let traces = self.source(query, 0);
-        let configs: Vec<MachineConfig> = CACHE_SIZES_KB
-            .iter()
-            .map(|&(l1, l2)| MachineConfig::baseline().with_cache_sizes(l1 * 1024, l2 * 1024))
-            .collect();
-        let labels: Vec<String> = CACHE_SIZES_KB
-            .iter()
-            .map(|&(l1, l2)| format!("fig10/Q{query}/l1_kb={l1}_l2_kb={l2}"))
-            .collect();
-        let stats = self.fan_out(&traces, &configs, &labels);
+        let stats = self.sweep(
+            query,
+            CACHE_SIZES_KB.iter().map(|&(l1, l2)| {
+                let cfg = MachineConfig::baseline().with_cache_sizes(l1 * 1024, l2 * 1024);
+                (format!("fig10/Q{query}/l1_kb={l1}_l2_kb={l2}"), cfg)
+            }),
+        );
         CACHE_SIZES_KB
             .iter()
             .zip(stats)
@@ -346,34 +396,34 @@ impl Workbench {
     /// Panics if either point fails — the pair is meaningless without both
     /// (in fail-soft mode the failure is still recorded first).
     pub fn prefetch_experiment(&mut self, query: u8) -> PrefetchPair {
-        let traces = self.source(query, 0);
-        let configs = [
-            MachineConfig::baseline(),
-            MachineConfig::baseline().with_data_prefetch(PREFETCH_LINES),
-        ];
-        let labels = vec![
-            format!("fig13/Q{query}/prefetch=0"),
-            format!("fig13/Q{query}/prefetch={PREFETCH_LINES}"),
-        ];
-        let mut stats = self.fan_out(&traces, &configs, &labels);
-        let lost = || panic!("fig13/Q{query} lost a sweep point (see point errors)");
-        let opt = stats.pop().flatten().unwrap_or_else(lost);
-        let base = stats.pop().flatten().unwrap_or_else(lost);
+        let opt = MachineConfig::baseline().with_data_prefetch(PREFETCH_LINES);
+        let [base, opt] = self.run_all(
+            &format!("fig13/Q{query}"),
+            [
+                Point::query(
+                    format!("fig13/Q{query}/prefetch=0"),
+                    MachineConfig::baseline(),
+                    query,
+                ),
+                Point::query(
+                    format!("fig13/Q{query}/prefetch={PREFETCH_LINES}"),
+                    opt,
+                    query,
+                ),
+            ],
+        );
         PrefetchPair { query, base, opt }
     }
 
     /// Sweeps the sequential-prefetch degree (the paper fixes it at 4).
     pub fn prefetch_degree_sweep(&mut self, query: u8) -> Vec<(u32, SimStats)> {
-        let traces = self.source(query, 0);
-        let configs: Vec<MachineConfig> = PREFETCH_DEGREES
-            .iter()
-            .map(|&d| MachineConfig::baseline().with_data_prefetch(d))
-            .collect();
-        let labels: Vec<String> = PREFETCH_DEGREES
-            .iter()
-            .map(|&d| format!("prefetch-depth/Q{query}/degree={d}"))
-            .collect();
-        let stats = self.fan_out(&traces, &configs, &labels);
+        let stats = self.sweep(
+            query,
+            PREFETCH_DEGREES.iter().map(|&d| {
+                let cfg = MachineConfig::baseline().with_data_prefetch(d);
+                (format!("prefetch-depth/Q{query}/degree={d}"), cfg)
+            }),
+        );
         PREFETCH_DEGREES
             .iter()
             .copied()
@@ -389,19 +439,18 @@ impl Workbench {
     /// Panics if either point fails — the ablation is meaningless without
     /// both (in fail-soft mode the failure is still recorded first).
     pub fn protocol_ablation(&mut self, query: u8) -> ProtocolAblation {
-        let traces = self.source(query, 0);
-        let configs = [
-            MachineConfig::baseline(),
-            MachineConfig::baseline().with_protocol(dss_memsim::Protocol::Mesi),
-        ];
-        let labels = vec![
-            format!("protocol/Q{query}/msi"),
-            format!("protocol/Q{query}/mesi"),
-        ];
-        let mut stats = self.fan_out(&traces, &configs, &labels);
-        let lost = || panic!("protocol/Q{query} lost a sweep point (see point errors)");
-        let mesi = stats.pop().flatten().unwrap_or_else(lost);
-        let msi = stats.pop().flatten().unwrap_or_else(lost);
+        let mesi = MachineConfig::baseline().with_protocol(dss_memsim::Protocol::Mesi);
+        let [msi, mesi] = self.run_all(
+            &format!("protocol/Q{query}"),
+            [
+                Point::query(
+                    format!("protocol/Q{query}/msi"),
+                    MachineConfig::baseline(),
+                    query,
+                ),
+                Point::query(format!("protocol/Q{query}/mesi"), mesi, query),
+            ],
+        );
         ProtocolAblation { query, msi, mesi }
     }
 
@@ -409,18 +458,15 @@ impl Workbench {
     /// instance per processor (the paper's inter-query parallelism model).
     /// Each point reports how metalock spinning and coherence misses grow.
     pub fn processor_sweep(&mut self, query: u8) -> Vec<(usize, SimStats)> {
-        let traces = self.source(query, 0);
-        let configs: Vec<MachineConfig> = PROC_COUNTS
-            .iter()
-            .map(|&n| MachineConfig::baseline().with_processors(n))
-            .collect();
-        let labels: Vec<String> = PROC_COUNTS
-            .iter()
-            .map(|&n| format!("scaling/Q{query}/nprocs={n}"))
-            .collect();
-        // sim_points runs each config over the leading `nprocs` traces, which
-        // is exactly the scaling subset.
-        let stats = self.fan_out(&traces, &configs, &labels);
+        // Each point replays the leading `nprocs` traces, which is exactly
+        // the scaling subset.
+        let stats = self.sweep(
+            query,
+            PROC_COUNTS.iter().map(|&n| {
+                let cfg = MachineConfig::baseline().with_processors(n);
+                (format!("scaling/Q{query}/nprocs={n}"), cfg)
+            }),
+        );
         PROC_COUNTS
             .iter()
             .copied()
@@ -431,106 +477,37 @@ impl Workbench {
 
     /// Figure 12: inter-query temporal locality with very large caches.
     ///
-    /// Each arm warms (or doesn't) its *own* machine and then replays the
-    /// measured set on it, so the three arms are independent and fan across
-    /// up to [`Workbench::jobs`] workers; the within-arm warm→measured order
-    /// is what carries the cache-reuse effect and stays serial. The measured
-    /// set is generated once and replayed by every arm (generation is
-    /// history-independent, so this changes nothing but wall-clock and
-    /// allocations).
+    /// Three points, one per arm, each on its own machine: cold replays the
+    /// measured set alone; warm-same and warm-other first replay a warm-up
+    /// set (the same query type with other parameters, or `other`) and
+    /// report the measured replay that follows. The arms are independent
+    /// and fan across the workbench's workers like any sweep; the
+    /// within-point warm→measured order is what carries the cache-reuse
+    /// effect. Sets are generated measured first, then the two warm-ups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any arm fails — the comparison is meaningless without all
+    /// three (in fail-soft mode the failure is still recorded first).
     pub fn reuse_experiment(&mut self, query: u8, other: u8) -> ReuseSet {
-        let labels = [
-            format!("fig12/Q{query}v{other}/cold"),
-            format!("fig12/Q{query}v{other}/warm_same"),
-            format!("fig12/Q{query}v{other}/warm_other"),
-        ];
-        let checkpoint = self.checkpoint.clone();
-        let computed_ctr = Arc::clone(&self.ckpt_computed);
-        let preloaded: Vec<Option<SimStats>> = labels
-            .iter()
-            .map(|label| {
-                checkpoint.as_ref().and_then(|j| {
-                    j.lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .lookup(label, 0)
-                        .cloned()
-                })
-            })
-            .collect();
-        let nloaded = preloaded.iter().filter(|p| p.is_some()).count() as u64;
-        self.ckpt_loaded.fetch_add(nloaded, Ordering::Relaxed);
-        // All three arms journaled: skip trace generation outright — a
-        // resumed run that already finished fig12 touches nothing.
-        if let [Some(cold), Some(warm_same), Some(warm_other)] = &preloaded[..] {
-            return ReuseSet {
-                query,
-                other,
-                cold: cold.clone(),
-                warm_same: warm_same.clone(),
-                warm_other: warm_other.clone(),
-            };
-        }
-
         let (l1_kb, l2_kb) = REUSE_CACHES_KB;
         let cfg = MachineConfig::baseline().with_cache_sizes(l1_kb * 1024, l2_kb * 1024);
-        let replay = |m: &mut Machine, src: &SimSource| {
-            m.run_source(src)
-                .unwrap_or_else(|e| panic!("trace stream failed: {e}"))
-        };
-        // Sources come first (trace generation needs `&mut self`); the sims
-        // then share them immutably across workers.
-        let measured = self.source(query, 0);
-        let warm_same_src = self.source(query, 1000);
-        let warm_other_src = self.source(other, 1000);
-
-        let arms: [Option<&SimSource>; 3] = [None, Some(&warm_same_src), Some(&warm_other_src)];
-        let points: Vec<_> = arms
-            .iter()
-            .zip(&labels)
-            .zip(&preloaded)
-            .map(|((warm, label), pre)| {
-                let (cfg, measured) = (&cfg, &measured);
-                let checkpoint = checkpoint.as_ref();
-                let computed_ctr = &computed_ctr;
-                move || {
-                    if let Some(stats) = pre {
-                        return stats.clone();
-                    }
-                    let mut m = Machine::new(cfg.clone());
-                    if let Some(warm) = warm {
-                        replay(&mut m, warm);
-                    }
-                    let stats = replay(&mut m, measured);
-                    if let Some(journal) = checkpoint {
-                        crash_point("crash.point.pre-journal");
-                        let mut journal = journal.lock().unwrap_or_else(|p| p.into_inner());
-                        if let Err(e) = journal.append(label, 0, &stats) {
-                            eprintln!("checkpoint append failed for {label}: {e}");
-                        }
-                        drop(journal);
-                        crash_point("crash.point.post-journal");
-                    }
-                    computed_ctr.fetch_add(1, Ordering::Relaxed);
-                    stats
-                }
-            })
-            .collect();
-        let mut stats = run_soft(self.jobs(), &points, None)
-            .into_iter()
-            .map(|slot| match slot {
-                Ok(stats) => stats,
-                Err(SoftFailure {
-                    payload: Some(payload),
-                    ..
-                }) => resume_unwind(payload),
-                Err(failure) => panic!("reuse arm failed: {}", failure.cause),
-            });
-        let (cold, warm_same, warm_other) = (
-            stats.next().expect("cold arm"),
-            stats.next().expect("warm-same arm"),
-            stats.next().expect("warm-other arm"),
-        );
-
+        let arms = [
+            ("cold", None),
+            ("warm_same", Some((query, 1000))),
+            ("warm_other", Some((other, 1000))),
+        ];
+        let points = arms.map(|(arm, warm)| Point {
+            label: format!("fig12/Q{query}v{other}/{arm}"),
+            cfg: cfg.clone(),
+            sources: warm
+                .into_iter()
+                .chain([(query, 0)])
+                .map(|(q, seed_base)| PointSource::Query(q, seed_base))
+                .collect(),
+        });
+        let [cold, warm_same, warm_other] =
+            self.run_all(&format!("fig12/Q{query}v{other}"), points);
         ReuseSet {
             query,
             other,
@@ -538,6 +515,23 @@ impl Workbench {
             warm_same,
             warm_other,
         }
+    }
+
+    /// Runs `points` and returns every result, for an experiment that is
+    /// meaningless without all of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any point fails (in fail-soft mode the failure is still
+    /// recorded first).
+    fn run_all<const N: usize>(&mut self, experiment: &str, points: [Point; N]) -> [SimStats; N] {
+        let mut stats = self.fan_out_labeled(points.into()).into_iter();
+        std::array::from_fn(|_| {
+            stats
+                .next()
+                .flatten()
+                .unwrap_or_else(|| panic!("{experiment} lost a sweep point (see point errors)"))
+        })
     }
 }
 
@@ -579,7 +573,8 @@ pub fn miss_rates(baseline: &QueryBaseline) -> MissRates {
 // Extension experiments beyond the paper's figures: ablations of the design
 // choices its architecture section fixes, and the processor-scaling question
 // its future-work section raises. These trace *while* executing updates or
-// rewritten plans, so they stay free functions over the workbench.
+// rewritten plans, so they generate their own trace sets and hand them to
+// the workbench's sweep-point runner.
 // ---------------------------------------------------------------------------
 
 /// Results of the update-workload extension: four processors each running a
@@ -600,8 +595,14 @@ pub struct UpdateRuns {
 /// the *memory-system* cost of writes — ownership misses on data pages,
 /// write-buffer pressure, and index-maintenance traffic.
 ///
-/// Builds its own database so the workbench's image stays pristine.
-pub fn update_experiment(scale: f64) -> UpdateRuns {
+/// Builds its own database at `scale` so the workbench's image stays
+/// pristine; the simulation runs through `wb`'s sweep-point runner.
+///
+/// # Panics
+///
+/// Panics if a refresh statement fails, or if the point fails (in fail-soft
+/// mode the failure is still recorded first).
+pub fn update_experiment(wb: &mut Workbench, scale: f64) -> UpdateRuns {
     use dss_query::{
         insert_lineitems_sql, insert_orders_sql, uf2_sql, Database, DbConfig, Session,
     };
@@ -647,7 +648,10 @@ pub fn update_experiment(scale: f64) -> UpdateRuns {
         }
         traces.push(session.tracer.take());
     }
-    let stats = Machine::new(MachineConfig::baseline()).run(&traces);
+    let [stats] = wb.run_all(
+        "ext-updates",
+        [Point::given("ext-updates/baseline".into(), traces)],
+    );
     UpdateRuns {
         stats,
         inserted,
@@ -674,6 +678,11 @@ pub struct IntraQueryRuns {
 /// item): partition Q6's sequential scan across the processors by heap block
 /// range — each node aggregates its fragment; a real system would combine
 /// the partials for free.
+///
+/// # Panics
+///
+/// Panics if Q6 fails, or if either point fails (in fail-soft mode the
+/// failure is still recorded first).
 pub fn intra_query_experiment(wb: &mut Workbench) -> IntraQueryRuns {
     use dss_query::Session;
     use dss_tpcd::params;
@@ -682,13 +691,10 @@ pub fn intra_query_experiment(wb: &mut Workbench) -> IntraQueryRuns {
     let sql = dss_query::sql_for(6, &p);
 
     // Single-processor baseline: the ordinary Q6 plan on processor 0.
-    let (single, full_sum) = {
-        let mut session = Session::new(0);
-        let out = wb.db.run(&sql, &mut session).expect("Q6 runs");
-        let sum = out.rows[0][0].dec();
-        let trace = session.tracer.take();
-        (Machine::new(MachineConfig::baseline()).run(&[trace]), sum)
-    };
+    let mut session = Session::new(0);
+    let out = wb.db.run(&sql, &mut session).expect("Q6 runs");
+    let full_sum = out.rows[0][0].dec();
+    let single = session.tracer.take();
 
     // Partitioned: rewrite the plan's SeqScan with a block range per node.
     let plan = wb.db.plan_sql(&sql).expect("Q6 plans");
@@ -711,7 +717,13 @@ pub fn intra_query_experiment(wb: &mut Workbench) -> IntraQueryRuns {
         partial_sum += out.rows[0][0].dec();
         traces.push(session.tracer.take());
     }
-    let partitioned = Machine::new(MachineConfig::baseline()).run(&traces);
+    let [single, partitioned] = wb.run_all(
+        "ext-intra",
+        [
+            Point::given("ext-intra/Q6/single".into(), vec![single]),
+            Point::given("ext-intra/Q6/partitioned".into(), traces),
+        ],
+    );
     IntraQueryRuns {
         single,
         partitioned,
@@ -755,9 +767,16 @@ pub struct StreamRuns {
 /// indices and, for Sequential queries, whole tables — is captured within
 /// each stream, quantifying the paper's Figure 12 upper bound under a
 /// realistic mixed workload and ordinary cache sizes.
+///
+/// # Panics
+///
+/// Panics if a query fails, or if the point fails (in fail-soft mode the
+/// failure is still recorded first).
 pub fn stream_experiment(wb: &mut Workbench, queries: &[u8]) -> StreamRuns {
     let traces = wb.stream_traces(queries, 0);
-    let stats = Machine::new(MachineConfig::baseline()).run(&traces);
+    let mix: Vec<String> = queries.iter().map(|&q| query_label(q)).collect();
+    let label = format!("ext-streams/{}/baseline", mix.join("+"));
+    let [stats] = wb.run_all("ext-streams", [Point::given(label, traces)]);
     StreamRuns {
         queries: queries.to_vec(),
         stats,

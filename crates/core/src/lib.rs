@@ -9,13 +9,12 @@
 //!
 //! * [`Workbench`] — database + trace cache (one trace population drives a
 //!   whole parameter sweep, since traces are machine-independent) and the
-//!   experiment methods, one per table/figure of the evaluation. Under
+//!   experiment methods, one per table/figure of the evaluation. Every
+//!   experiment runs its sweep points through the workbench's one runner:
+//!   worker threads (results bit-identical to a serial run), checkpoint
+//!   journal, fail-soft deadlines, and sabotage all live there. Under
 //!   [`TraceMode::Streamed`] the workbench records traces straight to block
 //!   files and replays them from disk, bounding peak memory at any scale.
-//! * [`sim_points`] / [`sim_points_source`] — the parallel harness: fan
-//!   sweep points across worker threads with results bit-identical to a
-//!   serial run, over a materialized [`TraceSet`] or any streaming
-//!   [`dss_trace::TraceSource`].
 //! * [`experiments`] — the experiments' result types.
 //! * [`report`] — ASCII renderings in the paper's chart shapes.
 //! * [`paper`] — the paper's claims as executable shape checks.
@@ -53,5 +52,5 @@ pub use checkpoint::{config_fingerprint, CheckpointJournal};
 pub use degrade::{PointCause, PointError};
 pub use dss_trace::{PipelineSnapshot, PipelineStats};
 pub use persist::{fsync_dir, write_atomic};
-pub use sim::{sim_points, sim_points_pipelined, sim_points_source, split_jobs};
+pub use sim::split_jobs;
 pub use workload::{query_label, SimSource, TraceMode, TraceSet, Workbench, STUDIED_QUERIES};

@@ -1,22 +1,23 @@
 //! The parallel simulation harness: fan independent sweep points across
 //! scoped worker threads.
 //!
-//! Every sweep in [`crate::experiments`] has the same shape: one immutable
-//! trace population replayed through many [`Machine`]s, one per
-//! [`MachineConfig`]. The points share no mutable state — each gets a fresh
-//! machine with cold caches — so they can run on any number of threads with
+//! A sweep point is a machine configuration plus an ordered list of trace
+//! populations replayed on one fresh machine (see
+//! [`crate::experiments`]'s `Point`); most points replay one population, the
+//! inter-query reuse experiment replays a warm-up population first. Points
+//! share no mutable state, so they can run on any number of threads with
 //! bit-identical results to a serial run; only wall-clock changes. The paper
 //! itself never needed this (its evaluation ran once); re-parameterized
-//! replay studies do, and [`sim_points`] makes them embarrassingly parallel
+//! replay studies do, and [`run_soft`] makes them embarrassingly parallel
 //! with no dependencies beyond `std::thread::scope`.
 //!
-//! Points consume their traces through the [`TraceSource`] streaming API, so
-//! the same harness replays a fully materialized [`TraceSet`] or block files
-//! on disk ([`dss_trace::FileTraceSource`]) with bit-identical results — the
-//! latter without ever holding a full trace in memory.
+//! [`run_point`] replays a materialized [`crate::TraceSet`] in place and
+//! block files on disk ([`dss_trace::FileTraceSource`]) one block at a time,
+//! with bit-identical results — the latter without ever holding a full trace
+//! in memory.
 
 use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -25,63 +26,7 @@ use dss_memsim::{Machine, MachineConfig, SimStats};
 use dss_trace::{PipelineStats, PipelinedTraceSource, ProcPrefix, TraceSource};
 
 use crate::degrade::PointCause;
-use crate::workload::TraceSet;
-
-/// Runs one simulation per config over a shared trace set, on up to `jobs`
-/// worker threads, returning results in config order.
-///
-/// Each point simulates a *fresh* machine (cold caches) over the leading
-/// `config.nprocs` traces of the set — so a config with fewer processors than
-/// the set has traces runs the processor-scaling subset, exactly as the
-/// serial harness did. `jobs <= 1` runs everything on the calling thread;
-/// any job count produces identical [`SimStats`].
-///
-/// This is the materialized-set convenience over [`sim_points_source`]: a
-/// `&[Trace]` is itself a [`TraceSource`].
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (the simulation itself panicking, e.g.
-/// on an invalid config).
-pub fn sim_points(traces: &TraceSet, configs: &[MachineConfig], jobs: usize) -> Vec<SimStats> {
-    sim_points_source(&traces[..], configs, jobs)
-}
-
-/// Runs one simulation per config over any [`TraceSource`], on up to `jobs`
-/// worker threads, returning results in config order.
-///
-/// Each point opens its own streams from `src`, so peak memory per point is
-/// bounded by the source's block size, not the trace length — replaying
-/// block files keeps the whole sweep within a few event blocks per
-/// processor. Results are bit-identical to [`sim_points`] over the
-/// materialized equivalent, at any job count.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics, or if the source fails mid-stream
-/// (truncated or corrupt block files).
-pub fn sim_points_source<S>(src: &S, configs: &[MachineConfig], jobs: usize) -> Vec<SimStats>
-where
-    S: TraceSource + ?Sized,
-{
-    let points: Vec<_> = configs
-        .iter()
-        .map(|cfg| move || run_point_source(cfg, src))
-        .collect();
-    run_soft(jobs, &points, None)
-        .into_iter()
-        .map(|slot| match slot {
-            Ok(stats) => stats,
-            // Hard mode: re-raise the first failing point's panic unchanged
-            // (the remaining points already ran; no work is re-entered).
-            Err(SoftFailure {
-                payload: Some(payload),
-                ..
-            }) => resume_unwind(payload),
-            Err(failure) => panic!("sweep point failed: {}", failure.cause),
-        })
-        .collect()
-}
+use crate::workload::SimSource;
 
 /// Splits a total worker budget between simulation and trace production:
 /// with `gen_jobs` producer threads per in-flight point, simulation points
@@ -93,87 +38,46 @@ pub fn split_jobs(jobs: usize, gen_jobs: usize) -> (usize, usize) {
     (jobs.max(1).saturating_sub(gen_jobs).max(1), gen_jobs)
 }
 
-/// Runs one simulation per config over a *pipelined* source: each point
-/// spawns `gen_jobs` producer worker threads that generate/decode blocks
-/// while the point's machine simulates them, with bounded channels keeping
-/// memory within a few blocks per processor. Results are bit-identical to
-/// [`sim_points_source`] (pinned by tests); only wall-clock changes. The
-/// simulation fan-out uses the worker budget left by [`split_jobs`].
+/// One sweep point: replays `sources` in order on a fresh machine built
+/// from `cfg` — cache state carries from each replay into the next — and
+/// returns the statistics of the last replay.
+///
+/// Each replay covers the leading `cfg.nprocs` processors of its source, so
+/// a config with fewer processors than the source has traces runs the
+/// processor-scaling subset. A materialized set is fed to the machine in
+/// place; block files stream one block at a time. With `gen_jobs > 0`,
+/// block production instead runs on `gen_jobs` background workers behind
+/// bounded channels ([`PipelinedTraceSource`]), the processor prefix applied
+/// *inside* the pipeline so producers never pump streams the config won't
+/// simulate. Every path gives bit-identical results.
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics, or if the source fails mid-stream —
-/// including a producer-side panic, which surfaces as a classified
-/// `pipeline` [`dss_trace::TraceError`] instead of a hang.
-pub fn sim_points_pipelined<S>(
-    src: &S,
-    configs: &[MachineConfig],
-    jobs: usize,
-    gen_jobs: usize,
-) -> Vec<SimStats>
-where
-    S: TraceSource + Clone + Send + Sync + 'static,
-{
-    if gen_jobs == 0 {
-        return sim_points_source(src, configs, jobs);
-    }
-    let stats = PipelineStats::shared();
-    let (sim_jobs, gen_jobs) = split_jobs(jobs, gen_jobs);
-    let points: Vec<_> = configs
-        .iter()
-        .map(|cfg| {
-            let stats = &stats;
-            move || run_point_pipelined(cfg, src, gen_jobs, stats)
-        })
-        .collect();
-    run_soft(sim_jobs, &points, None)
-        .into_iter()
-        .map(|slot| match slot {
-            Ok(stats) => stats,
-            Err(SoftFailure {
-                payload: Some(payload),
-                ..
-            }) => resume_unwind(payload),
-            Err(failure) => panic!("sweep point failed: {}", failure.cause),
-        })
-        .collect()
-}
-
-/// One streamed simulation point: a fresh machine fed block-by-block from
-/// the leading `nprocs` streams of `src`. Stream failures panic so the
-/// fail-soft runner classifies them like any other point failure.
-pub(crate) fn run_point_source<S>(cfg: &MachineConfig, src: &S) -> SimStats
-where
-    S: TraceSource + ?Sized,
-{
-    let take = cfg.nprocs.min(src.nprocs());
-    let prefix = ProcPrefix::new(src, take);
-    Machine::new(cfg.clone())
-        .run_source(&prefix)
-        .unwrap_or_else(|e| panic!("trace stream failed: {e}"))
-}
-
-/// One *pipelined* simulation point: like [`run_point_source`], but block
-/// production runs on `gen_jobs` background workers behind bounded channels
-/// (see [`PipelinedTraceSource`]). The processor prefix is applied *inside*
-/// the pipeline so producers never pump streams the config won't simulate.
-/// Producer-side panics arrive in-band as `pipeline`-classified stream
-/// errors, so this panics (and fail-soft classifies) instead of hanging.
-pub(crate) fn run_point_pipelined<S>(
+/// Panics if a source fails mid-stream (truncated or corrupt block files,
+/// or a producer-side panic, which arrives in-band as a `pipeline`
+/// [`dss_trace::TraceError`]), so the fail-soft runner classifies it like
+/// any other point failure instead of hanging.
+pub(crate) fn run_point(
     cfg: &MachineConfig,
-    src: &S,
+    sources: &[SimSource],
     gen_jobs: usize,
-    stats: &Arc<PipelineStats>,
-) -> SimStats
-where
-    S: TraceSource + Clone + Send + Sync + 'static,
-{
-    let take = cfg.nprocs.min(src.nprocs());
-    let piped = PipelinedTraceSource::new(ProcPrefix::new(src.clone(), take), gen_jobs)
-        .shared_stats(Arc::clone(stats));
-    Machine::new(cfg.clone())
-        .run_source(&piped)
-        .unwrap_or_else(|e| panic!("trace stream failed: {e}"))
+    pipe: &Arc<PipelineStats>,
+) -> SimStats {
+    let mut machine = Machine::new(cfg.clone());
+    let mut stats = SimStats::default();
+    for src in sources {
+        let take = cfg.nprocs.min(src.nprocs());
+        let replayed = match src {
+            _ if gen_jobs > 0 => machine.run_source(
+                &PipelinedTraceSource::new(ProcPrefix::new(src.clone(), take), gen_jobs)
+                    .shared_stats(Arc::clone(pipe)),
+            ),
+            SimSource::Set(set) => Ok(machine.run(&set[..take])),
+            SimSource::Files(files) => machine.run_source(&ProcPrefix::new(files, take)),
+        };
+        stats = replayed.unwrap_or_else(|e| panic!("trace stream failed: {e}"));
+    }
+    stats
 }
 
 /// A point failure as the runner sees it: the public classification plus the
@@ -208,8 +112,8 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// runaway simulation, so a wedged point still delays completion of the run
 /// (but no longer decides its outcome).
 ///
-/// With no deadline and no panics this is behaviorally identical to
-/// [`sim_points`]: bit-identical results at any job count.
+/// With no deadline and no panics, results are bit-identical at any job
+/// count.
 pub(crate) fn run_soft<T, F>(
     jobs: usize,
     points: &[F],
@@ -307,8 +211,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::TraceSet;
     use dss_shmem::SHARED_BASE;
-    use dss_trace::{DataClass, Tracer};
+    use dss_trace::{DataClass, TraceError, Tracer};
 
     fn synthetic_set(nprocs: usize) -> TraceSet {
         (0..nprocs)
@@ -329,34 +234,69 @@ mod tests {
             .into()
     }
 
-    #[test]
-    fn parallel_matches_serial_bit_for_bit() {
-        let traces = synthetic_set(4);
-        let configs: Vec<MachineConfig> = [16u64, 32, 64, 128]
+    /// Runs one single-source point per config under [`run_soft`] with
+    /// `jobs` workers, as the workbench's runner does.
+    fn sweep(
+        src: &SimSource,
+        configs: &[MachineConfig],
+        jobs: usize,
+        gen_jobs: usize,
+    ) -> Vec<SimStats> {
+        let pipe = PipelineStats::shared();
+        let points: Vec<_> = configs
+            .iter()
+            .map(|cfg| {
+                let (src, pipe) = (std::slice::from_ref(src), &pipe);
+                move || run_point(cfg, src, gen_jobs, pipe)
+            })
+            .collect();
+        let (sim_jobs, _) = split_jobs(jobs, gen_jobs);
+        run_soft(sim_jobs, &points, None)
+            .into_iter()
+            .map(|slot| slot.unwrap_or_else(|f| panic!("point failed: {}", f.cause)))
+            .collect()
+    }
+
+    fn line_configs() -> Vec<MachineConfig> {
+        [16u64, 32, 64, 128]
             .iter()
             .map(|&l| MachineConfig::baseline().with_line_size(l))
-            .collect();
-        let serial = sim_points(&traces, &configs, 1);
+            .collect()
+    }
+
+    #[test]
+    fn parallel_matches_serial_bit_for_bit() {
+        let src = SimSource::Set(synthetic_set(4));
+        let serial = sweep(&src, &line_configs(), 1, 0);
         for jobs in [2, 4, 9] {
-            let parallel = sim_points(&traces, &configs, jobs);
+            let parallel = sweep(&src, &line_configs(), jobs, 0);
             assert_eq!(serial, parallel, "jobs={jobs} must not change results");
         }
     }
 
     #[test]
-    fn config_order_is_preserved() {
-        let traces = synthetic_set(4);
-        let configs: Vec<MachineConfig> = (1..=4)
-            .map(|n| MachineConfig::baseline().with_processors(n))
+    fn point_order_is_preserved() {
+        let points: Vec<_> = (0..17usize)
+            .map(|i| {
+                move || {
+                    // Uneven work so workers finish out of order.
+                    std::thread::sleep(Duration::from_millis((17 - i as u64) % 5));
+                    i
+                }
+            })
             .collect();
-        let stats = sim_points(&traces, &configs, 4);
-        for (i, s) in stats.iter().enumerate() {
-            assert_eq!(
-                s.procs.len(),
-                i + 1,
-                "point {i} ran the {}-processor config",
-                i + 1
-            );
+        let out: Vec<usize> = run_soft(4, &points, None)
+            .into_iter()
+            .map(|slot| slot.unwrap_or_else(|_| panic!("no point fails")))
+            .collect();
+        assert_eq!(out, (0..17).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn empty_point_list_is_fine() {
+        let points: [fn() -> u32; 0] = [];
+        for jobs in [1, 4] {
+            assert!(run_soft(jobs, &points, Some(Duration::ZERO)).is_empty());
         }
     }
 
@@ -377,20 +317,37 @@ mod tests {
                 path
             })
             .collect();
-        let src = FileTraceSource::new(paths);
+        let files = SimSource::Files(FileTraceSource::new(paths));
         let configs: Vec<MachineConfig> = (1..=3)
             .map(|n| MachineConfig::baseline().with_processors(n))
             .collect();
-        let materialized = sim_points(&traces, &configs, 2);
-        let streamed = sim_points_source(&src, &configs, 2);
+        let materialized = sweep(&SimSource::Set(traces), &configs, 2, 0);
+        let streamed = sweep(&files, &configs, 2, 0);
         assert_eq!(materialized, streamed, "block files replay bit-identically");
+        for (i, s) in materialized.iter().enumerate() {
+            let active = s.procs.iter().filter(|p| p.cycles > 0).count();
+            assert_eq!(
+                active,
+                i + 1,
+                "point {i} ran its {}-processor prefix",
+                i + 1
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn empty_config_list_is_fine() {
-        let traces = synthetic_set(1);
-        assert!(sim_points(&traces, &[], 4).is_empty());
+    fn multi_source_point_carries_cache_state() {
+        let set = SimSource::Set(synthetic_set(2));
+        let cfg = MachineConfig::baseline().with_processors(2);
+        let pipe = PipelineStats::shared();
+        let cold = run_point(&cfg, std::slice::from_ref(&set), 0, &pipe);
+        let warm = run_point(&cfg, &[set.clone(), set.clone()], 0, &pipe);
+        assert!(
+            warm.l2.read_misses.total() < cold.l2.read_misses.total(),
+            "the second replay hits in caches the first one warmed"
+        );
+        assert_eq!(warm, run_point(&cfg, &[set.clone(), set], 2, &pipe));
     }
 
     #[test]
@@ -403,17 +360,10 @@ mod tests {
 
     #[test]
     fn pipelined_matches_serial_bit_for_bit() {
-        use crate::workload::SimSource;
-
-        let traces = synthetic_set(4);
-        let configs: Vec<MachineConfig> = [16u64, 64, 256]
-            .iter()
-            .map(|&l| MachineConfig::baseline().with_line_size(l))
-            .collect();
-        let serial = sim_points(&traces, &configs, 1);
-        let src = SimSource::Set(traces);
+        let src = SimSource::Set(synthetic_set(4));
+        let serial = sweep(&src, &line_configs(), 1, 0);
         for (jobs, gen_jobs) in [(1, 1), (4, 2), (2, 4), (3, 0)] {
-            let piped = sim_points_pipelined(&src, &configs, jobs, gen_jobs);
+            let piped = sweep(&src, &line_configs(), jobs, gen_jobs);
             assert_eq!(
                 serial, piped,
                 "jobs={jobs} gen_jobs={gen_jobs} must not change results"
@@ -446,8 +396,6 @@ mod tests {
         }
     }
 
-    use dss_trace::TraceError;
-
     impl TraceSource for PanicySource {
         fn nprocs(&self) -> usize {
             1
@@ -458,13 +406,17 @@ mod tests {
         }
     }
 
-    /// The tentpole's fail-soft guarantee: a producer panic on a pipeline
-    /// worker thread surfaces as a structured, `Panicked`-classified point
-    /// failure — promptly, with the watchdog armed, never as a deadlock.
+    /// The fail-soft guarantee: a producer panic on a pipeline worker thread
+    /// surfaces as a structured, `Panicked`-classified point failure —
+    /// promptly, with the watchdog armed, never as a deadlock.
     #[test]
     fn producer_panic_is_a_classified_point_failure_not_a_hang() {
         let cfg = MachineConfig::baseline().with_processors(1);
-        let points = [|| run_point_pipelined(&cfg, &PanicySource, 2, &PipelineStats::shared())];
+        let points = [|| {
+            Machine::new(cfg.clone())
+                .run_source(&PipelinedTraceSource::new(PanicySource, 2))
+                .unwrap_or_else(|e| panic!("trace stream failed: {e}"))
+        }];
         let started = Instant::now();
         let outcomes = run_soft(2, &points, Some(Duration::from_secs(5)));
         assert!(

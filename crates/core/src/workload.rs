@@ -93,9 +93,10 @@ pub fn query_label(q: u8) -> String {
 /// statistics recorded from start to finish with no warm-up discarded.
 /// Traces depend only on the query and parameter seeds — never on the
 /// simulated machine — so one set drives every sweep point, and the sweep
-/// points themselves are independent: the experiment methods
+/// points themselves are independent: every experiment
 /// ([`Workbench::line_size_sweep`] and friends, see [`crate::experiments`])
-/// fan them out across up to [`Workbench::jobs`] worker threads with
+/// runs its points through the workbench's one sweep-point runner, which
+/// fans them out across up to [`Workbench::jobs`] worker threads with
 /// bit-identical results to a serial run.
 ///
 /// # Example
@@ -131,7 +132,7 @@ pub struct Workbench {
     stream_cache: HashMap<(u8, u64), FileTraceSource>,
     /// Cumulative per-point simulation compute time (nanoseconds), summed
     /// across worker threads; lets callers report parallel speedup.
-    pub(crate) sim_nanos: Arc<AtomicU64>,
+    pub(crate) sim_nanos: AtomicU64,
     /// Fail-soft mode: sweep points run under `catch_unwind`, failures become
     /// [`PointError`]s instead of aborting the sweep. Off by default (a
     /// failing point panics the caller, exactly as before).
@@ -142,6 +143,9 @@ pub struct Workbench {
     /// Fault-injection hook: the label of one sweep point to sabotage (it
     /// panics instead of simulating), for exercising the degradation path.
     pub(crate) sabotage: Option<String>,
+    /// Whether a sweep point carrying the sabotage label has been run (or
+    /// served from the journal) since the label was set.
+    pub(crate) sabotage_matched: bool,
     /// Point failures accumulated by fail-soft sweeps since the last drain.
     pub(crate) point_errors: Vec<PointError>,
     /// Producer worker threads per in-flight sweep point (0 = pipelining
@@ -151,16 +155,16 @@ pub struct Workbench {
     pub(crate) pipe_stats: Arc<PipelineStats>,
     /// The crash-safety journal: completed sweep points are served from it
     /// and newly computed points are appended (durably) as they finish.
-    pub(crate) checkpoint: Option<Arc<Mutex<CheckpointJournal>>>,
+    pub(crate) checkpoint: Option<Mutex<CheckpointJournal>>,
     /// Resume mode: salvage partial streamed block files left by an
     /// interrupted run instead of regenerating them from scratch. Only safe
     /// when the caller has verified (via the journal fingerprint) that the
     /// files on disk belong to this exact configuration.
     pub(crate) resume: bool,
     /// Sweep points served from the journal since the last drain.
-    pub(crate) ckpt_loaded: Arc<AtomicU64>,
+    pub(crate) ckpt_loaded: AtomicU64,
     /// Sweep points actually simulated since the last drain.
-    pub(crate) ckpt_computed: Arc<AtomicU64>,
+    pub(crate) ckpt_computed: AtomicU64,
 }
 
 impl Workbench {
@@ -182,17 +186,18 @@ impl Workbench {
             trace_mode: TraceMode::default(),
             trace_dir: None,
             stream_cache: HashMap::new(),
-            sim_nanos: Arc::new(AtomicU64::new(0)),
+            sim_nanos: AtomicU64::new(0),
             fail_soft: false,
             point_deadline: None,
             sabotage: None,
+            sabotage_matched: false,
             point_errors: Vec::new(),
             gen_jobs: 0,
             pipe_stats: PipelineStats::shared(),
             checkpoint: None,
             resume: false,
-            ckpt_loaded: Arc::new(AtomicU64::new(0)),
-            ckpt_computed: Arc::new(AtomicU64::new(0)),
+            ckpt_loaded: AtomicU64::new(0),
+            ckpt_computed: AtomicU64::new(0),
         }
     }
 
@@ -289,6 +294,14 @@ impl Workbench {
     /// `None` disables it.
     pub fn set_sabotage(&mut self, label: Option<String>) {
         self.sabotage = label;
+        self.sabotage_matched = false;
+    }
+
+    /// Whether any sweep point since the last [`Workbench::set_sabotage`]
+    /// carried the sabotaged label. `false` after a run means the label
+    /// names no sweep point at all — a drill that exercised nothing.
+    pub fn sabotage_matched(&self) -> bool {
+        self.sabotage_matched
     }
 
     /// Drains the point failures accumulated by fail-soft sweeps since the
@@ -387,7 +400,7 @@ impl Workbench {
     /// points from it (skipping the simulation entirely) and durably append
     /// each newly computed point the moment it finishes.
     pub fn set_checkpoint(&mut self, journal: CheckpointJournal) {
-        self.checkpoint = Some(Arc::new(Mutex::new(journal)));
+        self.checkpoint = Some(Mutex::new(journal));
     }
 
     /// Enables resume mode: streamed block files already on disk are

@@ -10,7 +10,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use dss_core::{PointCause, Workbench};
+use dss_core::{experiments, PointCause, Workbench};
 use dss_query::DbConfig;
 
 /// A tiny workbench: big enough to sweep, small enough to build per test.
@@ -95,4 +95,82 @@ fn fail_soft_without_faults_is_bit_identical() {
     let soft: Vec<_> = wb.line_size_sweep(6).into_iter().map(|p| p.stats).collect();
     assert_eq!(hard, soft, "fail-soft mode must not perturb results");
     assert_eq!(wb.point_error_count(), 0);
+}
+
+/// Every experiment that simulates goes through the one sweep-point runner,
+/// so a zero deadline must time out points in each of them — the extension
+/// experiments and Figure 12 included. Paired experiments then panic for
+/// want of their points (the caller's experiment guard records that).
+#[test]
+fn zero_deadline_reaches_every_experiment() {
+    type Run = fn(&mut Workbench);
+    let runs: [(&str, Run); 11] = [
+        ("baseline_suite", |wb| drop(wb.baseline_suite(&[6]))),
+        ("line_size_sweep", |wb| drop(wb.line_size_sweep(6))),
+        ("cache_size_sweep", |wb| drop(wb.cache_size_sweep(6))),
+        ("prefetch_experiment", |wb| drop(wb.prefetch_experiment(6))),
+        ("prefetch_degree_sweep", |wb| {
+            drop(wb.prefetch_degree_sweep(6))
+        }),
+        ("protocol_ablation", |wb| drop(wb.protocol_ablation(6))),
+        ("processor_sweep", |wb| drop(wb.processor_sweep(6))),
+        ("reuse_experiment", |wb| drop(wb.reuse_experiment(6, 3))),
+        ("update_experiment", |wb| {
+            drop(experiments::update_experiment(wb, 0.001))
+        }),
+        ("intra_query_experiment", |wb| {
+            drop(experiments::intra_query_experiment(wb))
+        }),
+        ("stream_experiment", |wb| {
+            drop(experiments::stream_experiment(wb, &[6]))
+        }),
+    ];
+    let mut wb = wb();
+    wb.set_fail_soft(true);
+    wb.set_point_deadline(Some(Duration::ZERO));
+    for (name, run) in runs {
+        let _ = catch_unwind(AssertUnwindSafe(|| run(&mut wb)));
+        let errors = wb.take_point_errors();
+        assert!(!errors.is_empty(), "{name}: no point timed out");
+        assert!(
+            errors
+                .iter()
+                .all(|e| matches!(e.cause, PointCause::TimedOut { limit_ms: 0 })),
+            "{name}: {errors:?}"
+        );
+        assert!(
+            wb.take_sim_compute().as_nanos() > 0,
+            "{name}: compute clock fed"
+        );
+    }
+}
+
+#[test]
+fn sabotaged_reuse_arm_is_recorded_then_the_experiment_panics() {
+    let mut wb = wb();
+    wb.set_fail_soft(true);
+    wb.set_sabotage(Some("fig12/Q6v3/warm_other".into()));
+    let result = catch_unwind(AssertUnwindSafe(|| wb.reuse_experiment(6, 3)));
+    let payload = result.expect_err("a lost arm abandons the experiment");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(msg.contains("lost a sweep point"), "{msg}");
+    assert!(wb.sabotage_matched());
+    let errors = wb.take_point_errors();
+    assert_eq!(errors.len(), 1);
+    assert_eq!(errors[0].site, "fig12/Q6v3/warm_other");
+}
+
+#[test]
+fn sabotage_match_is_tracked() {
+    let mut wb = wb();
+    wb.set_fail_soft(true);
+    wb.set_sabotage(Some("fig8/Q6/l2_line=48".into()));
+    assert_eq!(wb.line_size_sweep(6).len(), 5, "no point carries the label");
+    assert!(!wb.sabotage_matched());
+    wb.set_sabotage(Some("fig8/Q6/l2_line=64".into()));
+    let _ = wb.line_size_sweep(6);
+    assert!(wb.sabotage_matched());
 }

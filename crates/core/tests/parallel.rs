@@ -2,8 +2,7 @@
 //! `--jobs` value must reproduce the serial results bit for bit, and the
 //! shared-trace cache must stay bounded while handles circulate.
 
-use dss_core::{sim_points, Workbench};
-use dss_memsim::MachineConfig;
+use dss_core::{TraceMode, Workbench};
 
 #[test]
 fn q6_line_size_sweep_is_job_count_invariant() {
@@ -23,17 +22,45 @@ fn q6_line_size_sweep_is_job_count_invariant() {
 }
 
 #[test]
-fn sim_points_is_job_count_invariant_on_real_traces() {
+fn cache_size_sweep_is_job_count_invariant_on_real_traces() {
     let mut wb = Workbench::small();
-    let traces = wb.traces(6, 0);
-    let configs: Vec<MachineConfig> = [(4u64, 128u64), (16, 512), (64, 2048)]
-        .iter()
-        .map(|&(l1, l2)| MachineConfig::baseline().with_cache_sizes(l1 * 1024, l2 * 1024))
+    wb.set_jobs(1);
+    let serial: Vec<_> = wb
+        .cache_size_sweep(6)
+        .into_iter()
+        .map(|p| p.stats)
         .collect();
-    let serial = sim_points(&traces, &configs, 1);
     for jobs in [2, 4, 7] {
-        assert_eq!(serial, sim_points(&traces, &configs, jobs), "jobs={jobs}");
+        wb.set_jobs(jobs);
+        let parallel: Vec<_> = wb
+            .cache_size_sweep(6)
+            .into_iter()
+            .map(|p| p.stats)
+            .collect();
+        assert_eq!(serial, parallel, "jobs={jobs}");
     }
+}
+
+#[test]
+fn streamed_sweeps_match_materialized_sweeps() {
+    let mut wb = Workbench::small().with_jobs(2);
+    let materialized = wb.processor_sweep(12);
+    let dir = std::env::temp_dir().join(format!("dss-par-stream-{}", std::process::id()));
+    wb.set_trace_dir(dir.clone());
+    wb.set_trace_mode(TraceMode::Streamed);
+    let streamed = wb.processor_sweep(12);
+    assert_eq!(materialized, streamed, "block files replay bit-identically");
+    for (n, stats) in &streamed {
+        assert_eq!(stats.procs.len(), *n, "config order kept");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn empty_point_list_is_fine() {
+    let mut wb = Workbench::small();
+    assert!(wb.baseline_suite(&[]).is_empty());
+    assert_eq!(wb.cached_trace_sets(), 0, "no points, no traces");
 }
 
 #[test]
@@ -66,8 +93,6 @@ fn parallel_sweeps_record_compute_time() {
 
 #[test]
 fn pipelined_streamed_sweep_is_gen_jobs_invariant() {
-    use dss_core::TraceMode;
-
     let mut wb = Workbench::small();
     let dir = std::env::temp_dir().join(format!("dss-pipe-inv-{}", std::process::id()));
     wb.set_trace_dir(dir.clone());

@@ -95,6 +95,32 @@ fn partial_journal_recomputes_only_whats_missing() {
 }
 
 #[test]
+fn fully_journaled_sweep_generates_no_traces() {
+    let dir = temp_dir("nogen");
+    let manifest = dir.join("manifest.ckpt");
+    let fp = config_fingerprint(&config(), 2);
+
+    let mut wb = Workbench::new(&config(), 2).with_jobs(2);
+    wb.set_checkpoint(CheckpointJournal::create(&manifest, fp).unwrap());
+    let fresh = wb.line_size_sweep(6);
+    assert_eq!(wb.cached_trace_sets(), 1);
+
+    let mut wb2 = Workbench::new(&config(), 2).with_jobs(2);
+    wb2.set_checkpoint(CheckpointJournal::resume(&manifest, fp).unwrap());
+    let resumed = wb2.line_size_sweep(6);
+    assert_eq!(wb2.take_checkpoint_counts(), (5, 0));
+    assert_eq!(
+        wb2.cached_trace_sets(),
+        0,
+        "journal consulted before any trace is generated"
+    );
+    for (a, b) in fresh.iter().zip(&resumed) {
+        assert_eq!(a.stats, b.stats);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn reuse_experiment_is_served_from_the_journal() {
     let dir = temp_dir("reuse");
     let manifest = dir.join("manifest.ckpt");

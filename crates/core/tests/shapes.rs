@@ -177,15 +177,15 @@ fn extension_experiments_are_sane() {
 
 #[test]
 fn update_experiment_profile() {
-    // Self-contained (builds its own database); writes show up as data
-    // traffic and all locks drain.
-    let runs = experiments::update_experiment(0.004);
+    // Builds its own database (the workbench only runs the point); writes
+    // show up as data traffic and all locks drain.
+    let runs = with_workbench(|wb| experiments::update_experiment(wb, 0.004));
     assert!(runs.inserted > 0 && runs.deleted > 0);
     assert!(runs.stats.l2.write_accesses > 0, "writes reach the L2");
     let t = runs.stats.time_breakdown();
     assert!(t.busy > 0.3 && t.mem > 0.1, "plausible breakdown: {t:?}");
     // Determinism.
-    let again = experiments::update_experiment(0.004);
+    let again = with_workbench(|wb| experiments::update_experiment(wb, 0.004));
     assert_eq!(runs.stats.exec_cycles(), again.stats.exec_cycles());
     assert_eq!(runs.inserted, again.inserted);
 }

@@ -17,8 +17,9 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::convert::Infallible;
 
-use dss_trace::{DataClass, Event, Trace, TraceError, TraceSource};
+use dss_trace::{DataClass, Event, EventStream, Trace, TraceError, TraceSource};
 
 use crate::cache::{Cache, LineState};
 use crate::config::MachineConfig;
@@ -74,7 +75,7 @@ pub struct Machine {
     /// streaming run replays one block per processor at a time, refilling
     /// these in place, so peak memory stays bounded by the block size — not
     /// the trace length — and steady-state streaming runs stay heap-quiet.
-    blocks: Vec<Trace>,
+    blocks: Vec<Vec<Event>>,
     /// When armed (test-only `alloc-probe` feature), every simulated event
     /// performs one deliberate heap allocation so the allocation audit's
     /// negative test can prove the gate fires.
@@ -93,8 +94,75 @@ pub struct Machine {
     violation: Option<Box<crate::verify::CoherenceViolation>>,
 }
 
+/// Per-processor event supply for [`Machine::interleave`]: materialized
+/// traces read in place ([`Slices`]), or streams refilling reused block
+/// buffers ([`Streams`]).
+trait Feed {
+    /// What a failed refill reports.
+    type Error;
+    /// Number of processors fed.
+    fn nprocs(&self) -> usize;
+    /// The processor slot `i` executes on.
+    fn proc_id(&self, i: usize) -> usize;
+    /// Slot `i`'s current run of events.
+    fn events(&self, i: usize) -> &[Event];
+    /// Replaces slot `i`'s consumed events with its next block; `false` once
+    /// its trace is exhausted.
+    fn refill(&mut self, i: usize) -> Result<bool, Self::Error>;
+}
+
+/// Materialized traces, fed whole and in place: no copy, no allocation.
+struct Slices<'a>(&'a [Trace]);
+
+impl Feed for Slices<'_> {
+    type Error = Infallible;
+
+    fn nprocs(&self) -> usize {
+        self.0.len()
+    }
+
+    fn proc_id(&self, i: usize) -> usize {
+        self.0[i].proc_id
+    }
+
+    fn events(&self, i: usize) -> &[Event] {
+        &self.0[i].events
+    }
+
+    fn refill(&mut self, _: usize) -> Result<bool, Infallible> {
+        Ok(false)
+    }
+}
+
+/// Opened streams, each refilling one of the machine's reused block
+/// buffers.
+struct Streams<'a> {
+    streams: Vec<Box<dyn EventStream + 'a>>,
+    blocks: Vec<Vec<Event>>,
+}
+
+impl Feed for Streams<'_> {
+    type Error = TraceError;
+
+    fn nprocs(&self) -> usize {
+        self.streams.len()
+    }
+
+    fn proc_id(&self, i: usize) -> usize {
+        self.streams[i].proc_id()
+    }
+
+    fn events(&self, i: usize) -> &[Event] {
+        &self.blocks[i]
+    }
+
+    fn refill(&mut self, i: usize) -> Result<bool, TraceError> {
+        Ok(self.streams[i].next_block(&mut self.blocks[i])? > 0)
+    }
+}
+
 /// Per-processor run state. Holds no reference to the trace it replays (the
-/// run loop passes the trace alongside), so the machine can keep these
+/// run loop passes the events alongside), so the machine can keep these
 /// between runs and reuse their buffers.
 #[derive(Default)]
 struct ProcScratch {
@@ -216,86 +284,7 @@ impl Machine {
     ///
     /// As [`Machine::run`].
     pub fn run_into(&mut self, traces: &[Trace], out: &mut SimStats) {
-        assert!(
-            traces.len() <= self.cfg.nprocs,
-            "more traces than processors"
-        );
-        self.locks.clear();
-        // Move the reusable buffers out of `self` so the run loop can borrow
-        // them mutably alongside `&mut self`; they go back at the end.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        while scratch.len() < traces.len() {
-            scratch.push(ProcScratch::default());
-        }
-        let mut seen: u128 = 0;
-        for (rp, t) in scratch.iter_mut().zip(traces) {
-            assert!(
-                t.proc_id < self.cfg.nprocs,
-                "trace for processor {} on a {}-processor machine",
-                t.proc_id,
-                self.cfg.nprocs
-            );
-            assert!(
-                seen & (1 << t.proc_id) == 0,
-                "two traces for processor {}",
-                t.proc_id
-            );
-            seen |= 1 << t.proc_id;
-            rp.reset(t.proc_id);
-            // The write buffer never holds more than `cfg.write_buffer`
-            // entries (overflow stalls instead), but warm-cache timing can
-            // fill it deeper than the cold first run did — reserve the full
-            // bound now so later runs never grow it mid-loop.
-            rp.wb.reserve(self.cfg.write_buffer);
-        }
-        let mut l1s = LevelStats::default();
-        let mut l2s = LevelStats::default();
-
-        // Deterministic interleave: the unfinished processor with the
-        // smallest clock (ties by position) executes its next event. Each
-        // live processor has exactly one heap entry, re-keyed after its step,
-        // so pop order reproduces the former full scan exactly. A lone trace
-        // needs no arbitration at all.
-        if let ([rp], [trace]) = (&mut scratch[..traces.len()], traces) {
-            let node = rp.node;
-            while rp.pos < trace.events.len() {
-                self.step(node, trace, rp, &mut l1s, &mut l2s);
-            }
-        } else {
-            let mut ready = std::mem::take(&mut self.ready);
-            ready.clear();
-            for (i, (rp, trace)) in scratch.iter().zip(traces).enumerate() {
-                if rp.pos < trace.events.len() {
-                    ready.push(Reverse((rp.clock, i)));
-                }
-            }
-            while let Some(Reverse((_, i))) = ready.pop() {
-                let rp = &mut scratch[i];
-                let trace = &traces[i];
-                let node = rp.node;
-                self.step(node, trace, rp, &mut l1s, &mut l2s);
-                if rp.pos < trace.events.len() {
-                    ready.push(Reverse((rp.clock, i)));
-                }
-            }
-            self.ready = ready;
-        }
-
-        out.procs.clear();
-        out.procs.resize(self.cfg.nprocs, ProcStats::default());
-        for rp in &mut scratch[..traces.len()] {
-            // Drain the write buffer into the final time.
-            if let Some(&(_, complete)) = rp.wb.back() {
-                rp.clock = rp.clock.max(complete);
-            }
-            rp.stats.cycles = rp.clock;
-            out.procs[rp.node] = rp.stats;
-        }
-        out.l1 = l1s;
-        out.l2 = l2s;
-        out.prefetches_issued = std::mem::take(&mut self.prefetches_issued);
-        out.prefetches_filled = std::mem::take(&mut self.prefetches_filled);
-        self.scratch = scratch;
+        let Ok(()) = self.interleave(&mut Slices(traces), out);
     }
 
     /// Runs a streaming [`TraceSource`] to completion: each processor's
@@ -335,89 +324,98 @@ impl Machine {
         src: &dyn TraceSource,
         out: &mut SimStats,
     ) -> Result<(), TraceError> {
-        let mut streams = src.open()?;
-        let n = streams.len();
-        assert!(n <= self.cfg.nprocs, "more streams than processors");
-        self.locks.clear();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        while scratch.len() < n {
-            scratch.push(ProcScratch::default());
-        }
+        let streams = src.open()?;
         let mut blocks = std::mem::take(&mut self.blocks);
-        while blocks.len() < n {
-            blocks.push(Trace::default());
-        }
+        blocks.iter_mut().for_each(Vec::clear);
+        blocks.resize_with(blocks.len().max(streams.len()), Vec::new);
+        let mut feed = Streams { streams, blocks };
+        let result = self.interleave(&mut feed, out);
+        self.blocks = feed.blocks;
+        result
+    }
+
+    /// The one interleave loop behind every `run*` entry point: resets the
+    /// per-processor state, replays `feed` in deterministic simulated-time
+    /// order, and writes the run's statistics to `out`. A feed error stops
+    /// the replay with `out` untouched; the reusable buffers go back to the
+    /// machine either way.
+    fn interleave<F: Feed>(&mut self, feed: &mut F, out: &mut SimStats) -> Result<(), F::Error> {
+        let n = feed.nprocs();
+        assert!(n <= self.cfg.nprocs, "more traces than processors");
+        self.locks.clear();
+        // Move the reusable buffers out of `self` so the run loop can borrow
+        // them mutably alongside `&mut self`; they go back at the end.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.resize_with(scratch.len().max(n), ProcScratch::default);
         let mut ready = std::mem::take(&mut self.ready);
         ready.clear();
         let mut l1s = LevelStats::default();
         let mut l2s = LevelStats::default();
 
-        // The replay loop proper, in a closure so an early stream error can
-        // still hand the reusable buffers back to the machine below.
-        let result = (|| -> Result<(), TraceError> {
+        let result = (|| -> Result<(), F::Error> {
             let mut seen: u128 = 0;
-            for i in 0..n {
-                let proc_id = streams[i].proc_id();
+            for (i, rp) in scratch.iter_mut().take(n).enumerate() {
+                let proc_id = feed.proc_id(i);
                 assert!(
                     proc_id < self.cfg.nprocs,
-                    "stream for processor {} on a {}-processor machine",
-                    proc_id,
+                    "trace for processor {proc_id} on a {}-processor machine",
                     self.cfg.nprocs
                 );
                 assert!(
                     seen & (1 << proc_id) == 0,
-                    "two streams for processor {proc_id}"
+                    "two traces for processor {proc_id}"
                 );
                 seen |= 1 << proc_id;
-                let rp = &mut scratch[i];
                 rp.reset(proc_id);
+                // The write buffer never holds more than `cfg.write_buffer`
+                // entries (overflow stalls instead), but warm-cache timing
+                // can fill it deeper than the cold first run did — reserve
+                // the full bound now so later runs never grow it mid-loop.
                 rp.wb.reserve(self.cfg.write_buffer);
-                blocks[i].proc_id = proc_id;
-                if streams[i].next_block(&mut blocks[i].events)? > 0 {
+                if !feed.events(i).is_empty() || feed.refill(i)? {
                     ready.push(Reverse((rp.clock, i)));
                 }
             }
-            // Same deterministic interleave as `run_into`: block boundaries
-            // only decide when a refill happens, never who steps next.
+            // Deterministic interleave: the unfinished processor with the
+            // smallest clock (ties by position) executes its next event.
+            // Each live processor has exactly one heap entry, re-keyed after
+            // its step, so pop order reproduces a full scan exactly; block
+            // boundaries only decide when a refill happens, never who steps
+            // next.
             while let Some(Reverse((_, i))) = ready.pop() {
                 let rp = &mut scratch[i];
                 let node = rp.node;
-                self.step(node, &blocks[i], rp, &mut l1s, &mut l2s);
-                let rp = &mut scratch[i];
-                if rp.pos == blocks[i].events.len()
-                    && streams[i].next_block(&mut blocks[i].events)? > 0
-                {
+                let events = feed.events(i);
+                self.step(node, events, rp, &mut l1s, &mut l2s);
+                if rp.pos == events.len() {
+                    if !feed.refill(i)? {
+                        continue;
+                    }
                     rp.pos = 0;
                 }
-                if rp.pos < blocks[i].events.len() {
-                    ready.push(Reverse((rp.clock, i)));
-                }
+                ready.push(Reverse((rp.clock, i)));
             }
             Ok(())
         })();
-        ready.clear();
         self.ready = ready;
-        self.blocks = blocks;
-        if result.is_err() {
-            self.scratch = scratch;
-            return result;
-        }
-
-        out.procs.clear();
-        out.procs.resize(self.cfg.nprocs, ProcStats::default());
-        for rp in &mut scratch[..n] {
-            if let Some(&(_, complete)) = rp.wb.back() {
-                rp.clock = rp.clock.max(complete);
+        if result.is_ok() {
+            out.procs.clear();
+            out.procs.resize(self.cfg.nprocs, ProcStats::default());
+            for rp in &mut scratch[..n] {
+                // Drain the write buffer into the final time.
+                if let Some(&(_, complete)) = rp.wb.back() {
+                    rp.clock = rp.clock.max(complete);
+                }
+                rp.stats.cycles = rp.clock;
+                out.procs[rp.node] = rp.stats;
             }
-            rp.stats.cycles = rp.clock;
-            out.procs[rp.node] = rp.stats;
+            out.l1 = l1s;
+            out.l2 = l2s;
+            out.prefetches_issued = std::mem::take(&mut self.prefetches_issued);
+            out.prefetches_filled = std::mem::take(&mut self.prefetches_filled);
         }
-        out.l1 = l1s;
-        out.l2 = l2s;
-        out.prefetches_issued = std::mem::take(&mut self.prefetches_issued);
-        out.prefetches_filled = std::mem::take(&mut self.prefetches_filled);
         self.scratch = scratch;
-        Ok(())
+        result
     }
 
     /// Verifies the structural invariants of the cache hierarchy and
@@ -437,7 +435,7 @@ impl Machine {
     fn step(
         &mut self,
         p: usize,
-        trace: &Trace,
+        events: &[Event],
         rp: &mut ProcScratch,
         l1s: &mut LevelStats,
         l2s: &mut LevelStats,
@@ -449,7 +447,7 @@ impl Machine {
             let probe: Vec<u64> = Vec::with_capacity(1);
             std::hint::black_box(&probe);
         }
-        let event = trace.events[rp.pos];
+        let event = events[rp.pos];
         match event {
             Event::Busy(n) => {
                 rp.clock += n as u64;

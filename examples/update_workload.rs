@@ -10,14 +10,16 @@
 //! cargo run --release --example update_workload
 //! ```
 
-use dss_workbench::core::experiments;
+use dss_workbench::core::{experiments, Workbench};
 use dss_workbench::query::{Database, Datum, DbConfig, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The harness runs the full experiment (build, UF1+UF2 on four
-    // processors, simulate on the paper's baseline machine).
+    // processors, simulate on the paper's baseline machine through the
+    // workbench's sweep-point runner).
     println!("running UF1/UF2 on four processors at the paper scale...");
-    let runs = experiments::update_experiment(dss_workbench::tpcd::PAPER_SCALE);
+    let mut wb = Workbench::small();
+    let runs = experiments::update_experiment(&mut wb, dss_workbench::tpcd::PAPER_SCALE);
     println!("{}", dss_workbench::core::report::render_ext_updates(&runs));
 
     // And the engine-level view: a single refresh pair, step by step.
