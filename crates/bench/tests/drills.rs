@@ -1,7 +1,7 @@
 //! The `repro` degradation drills, end to end: an injected fault on
 //! Figure 12 — which replays warm-up sets before its measured one — must
 //! degrade the run exactly as it does on the single-replay sweeps, and the
-//! command line must reject names and labels that select nothing.
+//! command line must reject options, names and labels that select nothing.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -72,6 +72,25 @@ fn unknown_experiment_is_a_usage_error() {
         "{stderr}"
     );
     assert!(out.stdout.is_empty(), "nothing ran");
+}
+
+#[test]
+fn unknown_option_is_a_usage_error_not_an_experiment_name() {
+    for (args, flag) in [
+        (&["fig8", "--bogus", "2"][..], "--bogus"),
+        (&["fig8", "--gen-jobs", "2"][..], "--gen-jobs"),
+        (&["fig8", "--gen-jobs=2"][..], "--gen-jobs"),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: unknown option {flag}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("unknown experiment"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "nothing ran");
+    }
 }
 
 #[test]

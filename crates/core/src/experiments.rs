@@ -24,7 +24,7 @@ use dss_tpcd::params;
 use dss_trace::Trace;
 
 use crate::degrade::PointError;
-use crate::sim::{run_point, run_soft, split_jobs, SoftFailure};
+use crate::sim::{run_point, run_soft, SoftFailure};
 use crate::workload::{query_label, SimSource, Workbench};
 
 /// L2 line sizes swept by Figures 8 and 9 (L1 lines are half).
@@ -171,8 +171,7 @@ impl Point {
 
 impl Workbench {
     /// The one sweep-point runner: fans `points` across this workbench's
-    /// worker threads (the budget [`split_jobs`] leaves after
-    /// [`Workbench::set_gen_jobs`]'s producers), recording compute time for
+    /// [`Workbench::jobs`] worker threads, recording compute time for
     /// [`Workbench::take_sim_compute`]. Results come back in point order at
     /// any job count.
     ///
@@ -240,8 +239,6 @@ impl Workbench {
         let checkpoint = self.checkpoint.as_ref();
         let sabotage = self.sabotage.as_deref();
         let clock = &self.sim_nanos;
-        let gen_jobs = self.gen_jobs;
-        let pipe = &self.pipe_stats;
         let computed_ctr = &self.ckpt_computed;
         let tasks: Vec<_> = points
             .iter()
@@ -257,7 +254,7 @@ impl Workbench {
                         panic!("injected: sweep point {label} sabotaged");
                     }
                     let start = Instant::now();
-                    let stats = run_point(&point.cfg, sources, gen_jobs, pipe);
+                    let stats = run_point(&point.cfg, sources);
                     clock.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     if let Some(journal) = checkpoint {
                         crash_point("crash.point.pre-journal");
@@ -280,8 +277,7 @@ impl Workbench {
         } else {
             None
         };
-        let (sim_jobs, _) = split_jobs(self.jobs(), gen_jobs);
-        let outcomes = run_soft(sim_jobs, &tasks, deadline);
+        let outcomes = run_soft(self.jobs(), &tasks, deadline);
         drop(tasks);
         outcomes
             .into_iter()

@@ -50,7 +50,5 @@ mod workload;
 
 pub use checkpoint::{config_fingerprint, CheckpointJournal};
 pub use degrade::{PointCause, PointError};
-pub use dss_trace::{PipelineSnapshot, PipelineStats};
 pub use persist::{fsync_dir, write_atomic};
-pub use sim::split_jobs;
 pub use workload::{query_label, SimSource, TraceMode, TraceSet, Workbench, STUDIED_QUERIES};

@@ -19,24 +19,14 @@
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dss_memsim::{Machine, MachineConfig, SimStats};
-use dss_trace::{PipelineStats, PipelinedTraceSource, ProcPrefix, TraceSource};
+use dss_trace::{ProcPrefix, TraceSource};
 
 use crate::degrade::PointCause;
 use crate::workload::SimSource;
-
-/// Splits a total worker budget between simulation and trace production:
-/// with `gen_jobs` producer threads per in-flight point, simulation points
-/// get the remainder of `jobs` (at least one). `gen_jobs == 0` disables
-/// pipelining, so the whole budget goes to simulation workers — the serial
-/// producer path, bit-identical and thread-for-thread identical to before
-/// pipelining existed.
-pub fn split_jobs(jobs: usize, gen_jobs: usize) -> (usize, usize) {
-    (jobs.max(1).saturating_sub(gen_jobs).max(1), gen_jobs)
-}
 
 /// One sweep point: replays `sources` in order on a fresh machine built
 /// from `cfg` — cache state carries from each replay into the next — and
@@ -45,33 +35,19 @@ pub fn split_jobs(jobs: usize, gen_jobs: usize) -> (usize, usize) {
 /// Each replay covers the leading `cfg.nprocs` processors of its source, so
 /// a config with fewer processors than the source has traces runs the
 /// processor-scaling subset. A materialized set is fed to the machine in
-/// place; block files stream one block at a time. With `gen_jobs > 0`,
-/// block production instead runs on `gen_jobs` background workers behind
-/// bounded channels ([`PipelinedTraceSource`]), the processor prefix applied
-/// *inside* the pipeline so producers never pump streams the config won't
-/// simulate. Every path gives bit-identical results.
+/// place; block files stream one block at a time. Both paths give
+/// bit-identical results.
 ///
 /// # Panics
 ///
-/// Panics if a source fails mid-stream (truncated or corrupt block files,
-/// or a producer-side panic, which arrives in-band as a `pipeline`
-/// [`dss_trace::TraceError`]), so the fail-soft runner classifies it like
-/// any other point failure instead of hanging.
-pub(crate) fn run_point(
-    cfg: &MachineConfig,
-    sources: &[SimSource],
-    gen_jobs: usize,
-    pipe: &Arc<PipelineStats>,
-) -> SimStats {
+/// Panics if a source fails mid-stream (truncated or corrupt block files),
+/// so the fail-soft runner classifies it like any other point failure.
+pub(crate) fn run_point(cfg: &MachineConfig, sources: &[SimSource]) -> SimStats {
     let mut machine = Machine::new(cfg.clone());
     let mut stats = SimStats::default();
     for src in sources {
         let take = cfg.nprocs.min(src.nprocs());
         let replayed = match src {
-            _ if gen_jobs > 0 => machine.run_source(
-                &PipelinedTraceSource::new(ProcPrefix::new(src.clone(), take), gen_jobs)
-                    .shared_stats(Arc::clone(pipe)),
-            ),
             SimSource::Set(set) => Ok(machine.run(&set[..take])),
             SimSource::Files(files) => machine.run_source(&ProcPrefix::new(files, take)),
         };
@@ -236,22 +212,15 @@ mod tests {
 
     /// Runs one single-source point per config under [`run_soft`] with
     /// `jobs` workers, as the workbench's runner does.
-    fn sweep(
-        src: &SimSource,
-        configs: &[MachineConfig],
-        jobs: usize,
-        gen_jobs: usize,
-    ) -> Vec<SimStats> {
-        let pipe = PipelineStats::shared();
+    fn sweep(src: &SimSource, configs: &[MachineConfig], jobs: usize) -> Vec<SimStats> {
         let points: Vec<_> = configs
             .iter()
             .map(|cfg| {
-                let (src, pipe) = (std::slice::from_ref(src), &pipe);
-                move || run_point(cfg, src, gen_jobs, pipe)
+                let src = std::slice::from_ref(src);
+                move || run_point(cfg, src)
             })
             .collect();
-        let (sim_jobs, _) = split_jobs(jobs, gen_jobs);
-        run_soft(sim_jobs, &points, None)
+        run_soft(jobs, &points, None)
             .into_iter()
             .map(|slot| slot.unwrap_or_else(|f| panic!("point failed: {}", f.cause)))
             .collect()
@@ -267,9 +236,9 @@ mod tests {
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
         let src = SimSource::Set(synthetic_set(4));
-        let serial = sweep(&src, &line_configs(), 1, 0);
+        let serial = sweep(&src, &line_configs(), 1);
         for jobs in [2, 4, 9] {
-            let parallel = sweep(&src, &line_configs(), jobs, 0);
+            let parallel = sweep(&src, &line_configs(), jobs);
             assert_eq!(serial, parallel, "jobs={jobs} must not change results");
         }
     }
@@ -300,12 +269,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn file_backed_source_matches_materialized_sweep() {
+    /// Writes `traces` as block files under a fresh directory named by
+    /// `tag`, returning the directory and the file-backed source.
+    fn block_files(traces: &TraceSet, tag: &str) -> (std::path::PathBuf, SimSource) {
         use dss_trace::FileTraceSource;
 
-        let traces = synthetic_set(3);
-        let dir = std::env::temp_dir().join(format!("dss-sim-src-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("dss-sim-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let paths: Vec<_> = traces
             .iter()
@@ -317,12 +286,18 @@ mod tests {
                 path
             })
             .collect();
-        let files = SimSource::Files(FileTraceSource::new(paths));
+        (dir, SimSource::Files(FileTraceSource::new(paths)))
+    }
+
+    #[test]
+    fn file_backed_source_matches_materialized_sweep() {
+        let traces = synthetic_set(3);
+        let (dir, files) = block_files(&traces, "src");
         let configs: Vec<MachineConfig> = (1..=3)
             .map(|n| MachineConfig::baseline().with_processors(n))
             .collect();
-        let materialized = sweep(&SimSource::Set(traces), &configs, 2, 0);
-        let streamed = sweep(&files, &configs, 2, 0);
+        let materialized = sweep(&SimSource::Set(traces), &configs, 2);
+        let streamed = sweep(&files, &configs, 2);
         assert_eq!(materialized, streamed, "block files replay bit-identically");
         for (i, s) in materialized.iter().enumerate() {
             let active = s.procs.iter().filter(|p| p.cycles > 0).count();
@@ -338,42 +313,25 @@ mod tests {
 
     #[test]
     fn multi_source_point_carries_cache_state() {
-        let set = SimSource::Set(synthetic_set(2));
+        let traces = synthetic_set(2);
+        let set = SimSource::Set(traces.clone());
         let cfg = MachineConfig::baseline().with_processors(2);
-        let pipe = PipelineStats::shared();
-        let cold = run_point(&cfg, std::slice::from_ref(&set), 0, &pipe);
-        let warm = run_point(&cfg, &[set.clone(), set.clone()], 0, &pipe);
+        let cold = run_point(&cfg, std::slice::from_ref(&set));
+        let warm = run_point(&cfg, &[set.clone(), set.clone()]);
         assert!(
             warm.l2.read_misses.total() < cold.l2.read_misses.total(),
             "the second replay hits in caches the first one warmed"
         );
-        assert_eq!(warm, run_point(&cfg, &[set.clone(), set], 2, &pipe));
-    }
-
-    #[test]
-    fn split_jobs_budget() {
-        assert_eq!(split_jobs(4, 0), (4, 0), "gen off: all workers simulate");
-        assert_eq!(split_jobs(4, 2), (2, 2));
-        assert_eq!(split_jobs(2, 2), (1, 2), "simulation always keeps a worker");
-        assert_eq!(split_jobs(0, 1), (1, 1), "zero budget still runs");
-    }
-
-    #[test]
-    fn pipelined_matches_serial_bit_for_bit() {
-        let src = SimSource::Set(synthetic_set(4));
-        let serial = sweep(&src, &line_configs(), 1, 0);
-        for (jobs, gen_jobs) in [(1, 1), (4, 2), (2, 4), (3, 0)] {
-            let piped = sweep(&src, &line_configs(), jobs, gen_jobs);
-            assert_eq!(
-                serial, piped,
-                "jobs={jobs} gen_jobs={gen_jobs} must not change results"
-            );
-        }
+        // Cache state carries across replays the same way when the warm-up
+        // and the measured replay stream from block files.
+        let (dir, files) = block_files(&traces, "warm");
+        assert_eq!(warm, run_point(&cfg, &[files.clone(), files.clone()]));
+        assert_eq!(warm, run_point(&cfg, &[files, set]));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A source whose processor-0 stream panics partway through: the shape
-    /// of any producer-side bug under pipelining.
-    #[derive(Clone)]
+    /// of any trace-producer bug.
     struct PanicySource;
 
     struct PanicyStream {
@@ -406,43 +364,57 @@ mod tests {
         }
     }
 
-    /// The fail-soft guarantee: a producer panic on a pipeline worker thread
+    /// The fail-soft guarantee: a panic inside a trace stream, mid-replay,
     /// surfaces as a structured, `Panicked`-classified point failure —
-    /// promptly, with the watchdog armed, never as a deadlock.
+    /// promptly, with the watchdog armed, never as a hang.
     #[test]
     fn producer_panic_is_a_classified_point_failure_not_a_hang() {
         let cfg = MachineConfig::baseline().with_processors(1);
-        let points = [|| {
-            Machine::new(cfg.clone())
-                .run_source(&PipelinedTraceSource::new(PanicySource, 2))
-                .unwrap_or_else(|e| panic!("trace stream failed: {e}"))
-        }];
+        let healthy = synthetic_set(1);
+        // Two points on two workers, so the run takes the threaded path with
+        // the watchdog armed: the first panics mid-stream, the second runs.
+        let points: Vec<_> = [true, false]
+            .into_iter()
+            .map(|panicky| {
+                let (cfg, healthy) = (&cfg, &healthy);
+                move || {
+                    let mut machine = Machine::new(cfg.clone());
+                    if panicky {
+                        machine
+                            .run_source(&PanicySource)
+                            .unwrap_or_else(|e| panic!("trace stream failed: {e}"))
+                    } else {
+                        machine.run(&healthy[..])
+                    }
+                }
+            })
+            .collect();
         let started = Instant::now();
-        let outcomes = run_soft(2, &points, Some(Duration::from_secs(5)));
+        let mut outcomes = run_soft(2, &points, Some(Duration::from_secs(5))).into_iter();
         assert!(
             started.elapsed() < Duration::from_secs(5),
             "failure must surface without waiting out the watchdog"
         );
-        let failure = match outcomes.into_iter().next() {
+        let failure = match outcomes.next() {
             Some(Err(f)) => f,
             _ => panic!("expected a point failure"),
         };
         match &failure.cause {
             PointCause::Panicked(msg) => {
-                assert!(msg.contains("trace stream failed"), "{msg}");
-                assert!(
-                    msg.contains("pipeline") || msg.contains("panicked"),
-                    "{msg}"
-                );
+                assert!(msg.contains("synthetic producer failure"), "{msg}");
             }
             other => panic!("expected Panicked, got {other}"),
         }
+        assert!(
+            matches!(outcomes.next(), Some(Ok(_))),
+            "the healthy point still runs"
+        );
         // The classification is exactly what fail-soft sweeps expose.
         let err = crate::degrade::PointError {
-            site: "test/pipeline".into(),
+            site: "test/panicky-stream".into(),
             cause: failure.cause,
             seed: 0,
         };
-        assert!(err.to_string().contains("test/pipeline"));
+        assert!(err.to_string().contains("test/panicky-stream"));
     }
 }

@@ -90,41 +90,3 @@ fn parallel_sweeps_record_compute_time() {
     // Taking the clock resets it.
     assert_eq!(wb.take_sim_compute().as_nanos(), 0);
 }
-
-#[test]
-fn pipelined_streamed_sweep_is_gen_jobs_invariant() {
-    let mut wb = Workbench::small();
-    let dir = std::env::temp_dir().join(format!("dss-pipe-inv-{}", std::process::id()));
-    wb.set_trace_dir(dir.clone());
-    wb.set_trace_mode(TraceMode::Streamed);
-
-    wb.set_jobs(1);
-    let serial = wb.line_size_sweep(6);
-
-    for (jobs, gen_jobs) in [(4, 2), (2, 3), (1, 1)] {
-        wb.set_jobs(jobs);
-        wb.set_gen_jobs(gen_jobs);
-        let piped = wb.line_size_sweep(6);
-        assert_eq!(serial.len(), piped.len());
-        for (s, p) in serial.iter().zip(&piped) {
-            assert_eq!(s.l2_line, p.l2_line);
-            assert_eq!(
-                s.stats, p.stats,
-                "jobs={jobs} gen_jobs={gen_jobs} diverged at l2_line={}",
-                s.l2_line
-            );
-        }
-        let snap = wb.take_pipeline_stats();
-        assert!(snap.blocks > 0, "pipelined points deliver blocks");
-    }
-
-    // Pipelining composes with materialized mode too.
-    wb.set_trace_mode(TraceMode::Materialized);
-    wb.set_jobs(4);
-    wb.set_gen_jobs(2);
-    let materialized = wb.line_size_sweep(6);
-    for (s, p) in serial.iter().zip(&materialized) {
-        assert_eq!(s.stats, p.stats, "materialized+pipelined diverged");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}

@@ -1,30 +1,28 @@
-//! Compact binary serialization of traces.
+//! Compact binary serialization of traces: the chunked block stream.
 //!
 //! Traces run to millions of events; this fixed-width little-endian format
 //! lets a workload be traced once and re-simulated elsewhere (the same
-//! workflow as saving an execution-driven simulator's address trace). No
-//! external dependencies: the format is eight bytes of magic, sixteen bytes
-//! of header, 17 bytes per event, and a trailing FNV-1a checksum of
-//! everything after the magic — so a single flipped bit anywhere in the file
-//! is *detected* instead of silently replayed as a different workload.
+//! workflow as saving an execution-driven simulator's address trace), and
+//! lets a producer emit and a consumer replay it one block at a time in
+//! bounded memory. No external dependencies: the stream is eight bytes of
+//! magic and a checksummed header, then independently checksummed blocks of
+//! 17-byte event records carrying sequential chunk indices, then an end
+//! marker — so a single flipped bit, a reordered or missing block, or a cut
+//! anywhere in the file is *detected* instead of silently replayed as a
+//! different workload.
 //!
 //! Failures never panic: malformed or truncated input comes back as a
 //! structured [`TraceError`] carrying the byte offset (and, for event-level
-//! failures, the event index) where decoding stopped, and the
-//! [`read_trace_file`] / [`write_trace_file`] helpers wrap the file path, so
-//! a bad trace on disk is diagnosable from the error alone. File writes go
-//! through a write-temp-then-rename protocol, so a killed writer never
-//! leaves a torn trace at the destination path.
+//! failures, the event index) where decoding stopped, and the file-level
+//! readers ([`salvage_scan_file`], [`crate::FileTraceSource`]) wrap the file
+//! path, so a bad trace on disk is diagnosable from the error alone.
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::{DataClass, Event, LockClass, LockToken, MemRef, Trace};
-
-/// Format magic. `02` added the trailing whole-file checksum.
-const MAGIC: &[u8; 8] = b"DSSTRC02";
 
 /// Magic of the chunked block format: a stream header followed by
 /// independently checksummed event blocks, so a trace can be produced and
@@ -99,16 +97,6 @@ pub enum TraceError {
         /// The underlying failure.
         source: Box<TraceError>,
     },
-    /// The pipelined delivery path itself failed: a producer worker died,
-    /// disconnected mid-stream, or violated the in-order chunk contract
-    /// (dropped or replayed a block). Distinct from the codec errors above —
-    /// the bytes on disk may be fine; the hand-off between threads was not.
-    Pipeline {
-        /// The simulated processor whose stream the failure concerned.
-        proc_id: usize,
-        /// What the pipeline did wrong.
-        what: String,
-    },
 }
 
 impl TraceError {
@@ -123,7 +111,6 @@ impl TraceError {
             TraceError::ChecksumMismatch { .. } => "checksum-mismatch",
             TraceError::Io { .. } => "io",
             TraceError::InFile { source, .. } => source.kind(),
-            TraceError::Pipeline { .. } => "pipeline",
         }
     }
 }
@@ -173,9 +160,6 @@ impl fmt::Display for TraceError {
                 write!(f, "I/O error at byte offset {offset}: {source}")
             }
             TraceError::InFile { path, source } => write!(f, "{}: {source}", path.display()),
-            TraceError::Pipeline { proc_id, what } => {
-                write!(f, "trace pipeline failed for processor {proc_id}: {what}")
-            }
         }
     }
 }
@@ -206,26 +190,6 @@ impl From<TraceError> for io::Error {
     }
 }
 
-/// Writes `trace` in the binary format (magic, header, events, checksum).
-///
-/// # Errors
-///
-/// Propagates I/O errors from `w`.
-pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    let mut hash = FNV_OFFSET;
-    let mut put = |w: &mut W, bytes: &[u8]| -> io::Result<()> {
-        hash = fnv1a(hash, bytes);
-        w.write_all(bytes)
-    };
-    put(&mut w, &(trace.proc_id as u64).to_le_bytes())?;
-    put(&mut w, &(trace.events.len() as u64).to_le_bytes())?;
-    for event in &trace.events {
-        put(&mut w, &encode_event(event))?;
-    }
-    w.write_all(&hash.to_le_bytes())
-}
-
 /// Encodes one event as its 17-byte wire record.
 fn encode_event(event: &Event) -> [u8; 17] {
     let (tag, a, b): (u8, u64, u64) = match event {
@@ -244,43 +208,6 @@ fn encode_event(event: &Event) -> [u8; 17] {
     record
 }
 
-/// Writes `trace` to the file at `path` atomically: the bytes land in a
-/// temporary sibling file which is renamed over `path` only once fully
-/// written and flushed, so a crash mid-write never leaves a torn trace.
-///
-/// # Errors
-///
-/// As [`write_trace`], with the file path prepended to the error message.
-pub fn write_trace_file(trace: &Trace, path: &Path) -> io::Result<()> {
-    let run = || -> io::Result<()> {
-        let tmp = tmp_sibling(path);
-        let result = (|| {
-            let mut w = BufWriter::new(File::create(&tmp)?);
-            write_trace(trace, &mut w)?;
-            w.flush()?;
-            w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-            std::fs::rename(&tmp, path)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
-    };
-    run().map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
-}
-
-/// Names a temporary sibling of `path` in the same directory (renames across
-/// filesystems are not atomic, so the temp file must live next to its
-/// destination). The process id keeps concurrent writers apart.
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    name.push(format!(".tmp.{}", std::process::id()));
-    path.with_file_name(name)
-}
-
 /// An incremental writer for the chunked block format ([`BLOCK_MAGIC`]).
 ///
 /// The stream is a header (magic, processor id, header checksum) followed by
@@ -294,8 +221,7 @@ fn tmp_sibling(path: &Path) -> PathBuf {
 /// reordered, duplicated, or mis-seeded chunks (e.g. from a buggy parallel
 /// producer) as corruption instead of replaying a scrambled workload. A
 /// zero-count block terminates the stream; a stream cut before that marker
-/// is reported as truncated. Unlike [`write_trace`], nothing about the
-/// stream's total length is promised up front, so a producer can emit blocks
+/// is reported as truncated. Nothing about the stream's total length is promised up front, so a producer can emit blocks
 /// as it generates them and never hold more than one block in memory.
 pub struct BlockWriter<W: Write> {
     w: W,
@@ -410,8 +336,7 @@ impl<R: Read> BlockReader<R> {
     ///
     /// # Errors
     ///
-    /// [`TraceError::BadMagic`] for a foreign stream (including the
-    /// whole-trace [`write_trace`] format), [`TraceError::Truncated`] /
+    /// [`TraceError::BadMagic`] for a foreign stream, [`TraceError::Truncated`] /
     /// [`TraceError::Io`] when the header cannot be read, and
     /// [`TraceError::ChecksumMismatch`] when the header checksum fails.
     pub fn new(r: R) -> Result<Self, TraceError> {
@@ -510,7 +435,7 @@ impl<R: Read> BlockReader<R> {
 }
 
 /// Writes `trace` as a block stream with at most `block_events` events per
-/// block — the streaming counterpart of [`write_trace`].
+/// block, in one call.
 ///
 /// # Errors
 ///
@@ -625,8 +550,8 @@ pub fn salvage_scan_file(path: &Path) -> Result<SalvageScan, TraceError> {
 }
 
 /// A reader that remembers how many bytes it has yielded and hashes them, so
-/// decode errors can report where in the stream they happened and the
-/// trailing checksum can be verified.
+/// decode errors can report where in the stream they happened and each
+/// block's checksum can be verified.
 #[derive(Debug)]
 struct CountingReader<R> {
     inner: R,
@@ -674,67 +599,6 @@ impl<R: Read> CountingReader<R> {
         }
         Ok(start)
     }
-}
-
-/// Reads a trace written by [`write_trace`].
-///
-/// # Errors
-///
-/// Returns a structured [`TraceError`]: [`TraceError::BadMagic`] for a
-/// foreign file, [`TraceError::Truncated`] when the stream ends early
-/// (including empty and header-only inputs), [`TraceError::Corrupt`] for
-/// impossible record values, and [`TraceError::ChecksumMismatch`] when the
-/// decoded bytes do not hash to the stored checksum. Every error names the
-/// byte offset the decoder had reached, and event-level errors also name the
-/// event index.
-pub fn read_trace<R: Read>(r: R) -> Result<Trace, TraceError> {
-    let mut r = CountingReader {
-        inner: r,
-        offset: 0,
-        hash: FNV_OFFSET,
-        hashing: false,
-    };
-    let mut magic = [0u8; 8];
-    r.fill(&mut magic, "trace magic", None)?;
-    if &magic != MAGIC {
-        return Err(TraceError::BadMagic { found: magic });
-    }
-    r.hashing = true;
-    let mut word = [0u8; 8];
-    r.fill(&mut word, "trace header", None)?;
-    let proc_id = u64::from_le_bytes(word) as usize;
-    r.fill(&mut word, "trace header", None)?;
-    let n = u64::from_le_bytes(word) as usize;
-    let mut events = Vec::with_capacity(n.min(1 << 24));
-    let mut record = [0u8; 17];
-    for i in 0..n {
-        let start = r.fill(&mut record, "event record", Some((i, n)))?;
-        events.push(decode_event(&record, start, (i, n))?);
-    }
-    r.hashing = false;
-    let computed = r.hash;
-    r.fill(&mut word, "trace checksum", None)?;
-    let stored = u64::from_le_bytes(word);
-    if stored != computed {
-        return Err(TraceError::ChecksumMismatch { stored, computed });
-    }
-    Ok(Trace { proc_id, events })
-}
-
-/// Reads the trace stored in the file at `path`.
-///
-/// # Errors
-///
-/// As [`read_trace`], wrapped in [`TraceError::InFile`] naming the path.
-pub fn read_trace_file(path: &Path) -> Result<Trace, TraceError> {
-    let run = || -> Result<Trace, TraceError> {
-        let file = File::open(path).map_err(|source| TraceError::Io { offset: 0, source })?;
-        read_trace(BufReader::new(file))
-    };
-    run().map_err(|e| TraceError::InFile {
-        path: path.to_path_buf(),
-        source: Box::new(e),
-    })
 }
 
 /// Decodes one 17-byte event record beginning at byte `offset`.
@@ -817,7 +681,7 @@ fn lock_from(code: u8) -> Result<LockClass, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tracer;
+    use crate::{Tracer, DEFAULT_BLOCK_EVENTS};
 
     fn sample() -> Trace {
         let t = Tracer::new(3);
@@ -831,12 +695,22 @@ mod tests {
         t.take()
     }
 
+    /// Encodes `trace` as a block stream of `block_events`-event blocks.
+    fn encode(trace: &Trace, block_events: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_trace_blocks(trace, &mut buf, block_events).expect("in-memory write");
+        buf
+    }
+
+    /// Bytes of the stream header and of the end marker.
+    const HEADER: usize = 24;
+    const END_MARKER: usize = 24;
+
     #[test]
     fn roundtrip_preserves_everything() {
         let trace = sample();
-        let mut buf = Vec::new();
-        write_trace(&trace, &mut buf).expect("in-memory write");
-        let back = read_trace(buf.as_slice()).expect("read back");
+        let back =
+            read_trace_blocks(encode(&trace, DEFAULT_BLOCK_EVENTS).as_slice()).expect("read back");
         assert_eq!(back, trace);
         assert_eq!(back.proc_id, 3);
     }
@@ -848,9 +722,8 @@ mod tests {
             t.read(0x1000 + i as u64 * 8, 8, *class);
         }
         let trace = t.take();
-        let mut buf = Vec::new();
-        write_trace(&trace, &mut buf).unwrap();
-        assert_eq!(read_trace(buf.as_slice()).unwrap(), trace);
+        let buf = encode(&trace, DEFAULT_BLOCK_EVENTS);
+        assert_eq!(read_trace_blocks(buf.as_slice()).unwrap(), trace);
     }
 
     #[test]
@@ -862,17 +735,17 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let err = read_trace(&b"NOTATRCE"[..]).unwrap_err();
+        let err = read_trace_blocks(&b"NOTATRCE"[..]).unwrap_err();
         assert!(matches!(err, TraceError::BadMagic { .. }), "{err}");
         assert_eq!(err.kind(), "bad-magic");
-        // An old-format (pre-checksum) trace is also refused up front.
-        let err = read_trace(&b"DSSTRC01"[..]).unwrap_err();
+        // Another version of the block format is also refused up front.
+        let err = read_trace_blocks(&b"DSSTRB00"[..]).unwrap_err();
         assert!(matches!(err, TraceError::BadMagic { .. }), "{err}");
     }
 
     #[test]
     fn empty_input_reports_truncation_at_offset_zero() {
-        let err = read_trace(&b""[..]).unwrap_err();
+        let err = read_trace_blocks(&b""[..]).unwrap_err();
         match err {
             TraceError::Truncated { offset, event, .. } => {
                 assert_eq!(offset, 0);
@@ -887,9 +760,9 @@ mod tests {
         // Magic plus a partial header: the classic "file created, write
         // interrupted" shape.
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(BLOCK_MAGIC);
         buf.extend_from_slice(&3u64.to_le_bytes()[..4]);
-        let err = read_trace(buf.as_slice()).unwrap_err();
+        let err = read_trace_blocks(buf.as_slice()).unwrap_err();
         match err {
             TraceError::Truncated {
                 offset,
@@ -897,7 +770,7 @@ mod tests {
                 event,
             } => {
                 assert_eq!(offset, 8);
-                assert_eq!(expected, "trace header");
+                assert_eq!(expected, "block stream header");
                 assert_eq!(event, None);
             }
             other => panic!("expected Truncated, got {other}"),
@@ -907,17 +780,17 @@ mod tests {
     #[test]
     fn truncated_input_reports_event_and_offset() {
         let trace = sample();
-        let mut buf = Vec::new();
-        write_trace(&trace, &mut buf).unwrap();
-        // Cut inside the final event record (past it sit 8 checksum bytes).
-        buf.truncate(buf.len() - 8 - 3);
-        let err = read_trace(buf.as_slice()).unwrap_err();
-        let last = trace.events.len() - 1;
-        let start = (24 + 17 * last) as u64;
+        // 8 events in blocks of 3: the last block holds 2.
+        let mut buf = encode(&trace, 3);
+        // The final record sits before the block checksum and the end marker.
+        let start = (buf.len() - END_MARKER - 8 - 17) as u64;
+        // Cut inside it.
+        buf.truncate(buf.len() - END_MARKER - 8 - 3);
+        let err = read_trace_blocks(buf.as_slice()).unwrap_err();
         match err {
             TraceError::Truncated { offset, event, .. } => {
                 assert_eq!(offset, start);
-                assert_eq!(event, Some((last, trace.events.len())));
+                assert_eq!(event, Some((1, 2)));
             }
             other => panic!("expected Truncated, got {other}"),
         }
@@ -925,44 +798,42 @@ mod tests {
 
     #[test]
     fn missing_checksum_is_truncation() {
-        let mut buf = Vec::new();
-        write_trace(&sample(), &mut buf).unwrap();
-        buf.truncate(buf.len() - 8);
-        let err = read_trace(buf.as_slice()).unwrap_err();
+        let mut buf = encode(&sample(), 3);
+        buf.truncate(buf.len() - END_MARKER - 8);
+        let err = read_trace_blocks(buf.as_slice()).unwrap_err();
         match err {
-            TraceError::Truncated { expected, .. } => assert_eq!(expected, "trace checksum"),
+            TraceError::Truncated { expected, .. } => assert_eq!(expected, "block checksum"),
             other => panic!("expected Truncated, got {other}"),
         }
     }
 
     #[test]
     fn any_flipped_payload_bit_is_detected() {
-        let trace = sample();
-        let mut clean = Vec::new();
-        write_trace(&trace, &mut clean).unwrap();
-        // Flip one bit at every byte position after the magic: each flip must
-        // surface as *some* classified error — never a silently different
-        // trace.
-        for pos in 8..clean.len() {
-            let mut buf = clean.clone();
-            buf[pos] ^= 1 << (pos % 8);
-            match read_trace(buf.as_slice()) {
-                Err(_) => {}
-                Ok(t) => panic!(
-                    "flip at byte {pos} silently decoded {} events",
-                    t.events.len()
-                ),
+        // One block holding every event: flip each bit after the magic in
+        // turn. Each flip must surface as *some* classified error — never a
+        // silently different trace.
+        let clean = encode(&sample(), DEFAULT_BLOCK_EVENTS);
+        for pos in BLOCK_MAGIC.len()..clean.len() {
+            for bit in 0..8 {
+                let mut buf = clean.clone();
+                buf[pos] ^= 1 << bit;
+                if let Ok(t) = read_trace_blocks(buf.as_slice()) {
+                    panic!(
+                        "flip of bit {bit} at byte {pos} silently decoded {} events",
+                        t.events.len()
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn bad_event_tag_is_rejected() {
-        let mut buf = Vec::new();
-        write_trace(&sample(), &mut buf).unwrap();
-        // Corrupt the first event's tag byte (offset 24).
-        buf[24] = 9;
-        let err = read_trace(buf.as_slice()).unwrap_err();
+        let mut buf = encode(&sample(), DEFAULT_BLOCK_EVENTS);
+        // Corrupt the first event's tag byte (after the stream header and
+        // the block's count and chunk index).
+        buf[HEADER + 16] = 9;
+        let err = read_trace_blocks(buf.as_slice()).unwrap_err();
         // The tag error is reported before the checksum is reached.
         match &err {
             TraceError::Corrupt { what, event, .. } => {
@@ -975,7 +846,7 @@ mod tests {
 
     #[test]
     fn truncated_header_is_located() {
-        let err = read_trace(&MAGIC[..]).unwrap_err();
+        let err = read_trace_blocks(&BLOCK_MAGIC[..]).unwrap_err();
         assert!(
             err.to_string().contains("byte offset 8"),
             "offset named: {err}"
@@ -985,35 +856,37 @@ mod tests {
 
     #[test]
     fn file_roundtrip_and_error_name_the_path() {
+        use crate::{materialize, FileTraceSource};
+
         let dir = std::env::temp_dir().join("dss-trace-io-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("q.trace");
+        let path = dir.join("q.trb");
         let trace = sample();
-        write_trace_file(&trace, &path).unwrap();
-        assert_eq!(read_trace_file(&path).unwrap(), trace);
-        // The atomic-write protocol leaves no temp droppings behind.
-        let siblings = std::fs::read_dir(&dir).unwrap().count();
-        assert_eq!(siblings, 1, "only the destination file remains");
+        std::fs::write(&path, encode(&trace, 3)).unwrap();
+        let src = FileTraceSource::new(vec![path.clone()]);
+        assert_eq!(materialize(&src).unwrap(), vec![trace]);
+        assert!(salvage_scan_file(&path).unwrap().complete);
 
         std::fs::write(&path, b"NOTATRCE").unwrap();
-        let err = read_trace_file(&path).unwrap_err();
-        assert!(
-            err.to_string().contains("q.trace"),
-            "path appears in: {err}"
-        );
-        assert_eq!(err.kind(), "bad-magic", "wrapping preserves the kind");
-        let missing = dir.join("does-not-exist.trace");
-        let err = read_trace_file(&missing).unwrap_err();
-        assert!(err.to_string().contains("does-not-exist.trace"));
+        for err in [
+            materialize(&src).unwrap_err(),
+            salvage_scan_file(&path).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains("q.trb"), "path appears in: {err}");
+            assert_eq!(err.kind(), "bad-magic", "wrapping preserves the kind");
+        }
+        let missing = dir.join("does-not-exist.trb");
+        let err = salvage_scan_file(&missing).unwrap_err();
+        assert!(err.to_string().contains("does-not-exist.trb"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn trace_errors_convert_to_io_errors() {
-        let err = read_trace(&b""[..]).unwrap_err();
+        let err = read_trace_blocks(&b""[..]).unwrap_err();
         let io_err: io::Error = err.into();
         assert_eq!(io_err.kind(), io::ErrorKind::UnexpectedEof);
-        let err = read_trace(&b"NOTATRCE"[..]).unwrap_err();
+        let err = read_trace_blocks(&b"NOTATRCE"[..]).unwrap_err();
         let io_err: io::Error = err.into();
         assert_eq!(io_err.kind(), io::ErrorKind::InvalidData);
     }
@@ -1021,9 +894,9 @@ mod tests {
     #[test]
     fn format_is_compact() {
         let trace = sample();
-        let mut buf = Vec::new();
-        write_trace(&trace, &mut buf).unwrap();
-        assert_eq!(buf.len(), 8 + 16 + trace.events.len() * 17 + 8);
+        let buf = encode(&trace, DEFAULT_BLOCK_EVENTS);
+        let block = 16 + trace.events.len() * 17 + 8;
+        assert_eq!(buf.len(), HEADER + block + END_MARKER);
     }
 
     #[test]
@@ -1118,10 +991,17 @@ mod tests {
 
     #[test]
     fn whole_trace_magic_is_rejected_by_block_reader() {
-        let mut buf = Vec::new();
-        write_trace(&sample(), &mut buf).unwrap();
+        // A whole-trace file (its own magic, then a processor id and an
+        // event count) is not a block stream.
+        let mut buf = b"DSSTRC01".to_vec();
+        buf.extend_from_slice(&3u64.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes());
         let err = BlockReader::new(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), "bad-magic");
+        assert_eq!(
+            salvage_scan(buf.as_slice()).unwrap_err().kind(),
+            "bad-magic"
+        );
     }
 
     #[test]

@@ -115,9 +115,9 @@ impl TraceSource for [Trace] {
     }
 }
 
-/// Owned traces are a source too (delegating to the slice impl), so a
-/// `'static` trace set can feed adapters that hand the source to worker
-/// threads (e.g. [`crate::PipelinedTraceSource`]).
+/// Owned traces are a source too (delegating to the slice impl). Unlike
+/// `[Trace]`, a `Vec<Trace>` is sized, so `&Vec<Trace>` coerces to
+/// `&dyn TraceSource`.
 impl TraceSource for Vec<Trace> {
     fn nprocs(&self) -> usize {
         self.len()

@@ -1,15 +1,16 @@
-//! Fuzz-style robustness tests for the trace codec: arbitrary byte soup,
-//! single-byte corruptions, and truncations of a valid trace must all come
-//! back as structured [`TraceError`]s — never a panic, and never garbage
-//! silently accepted as a healthy trace.
+//! Fuzz-style robustness tests for the block-stream trace codec: arbitrary
+//! byte soup, single-byte corruptions, and truncations of a valid stream
+//! must all come back as structured [`dss_trace::TraceError`]s — never a
+//! panic, and never garbage silently accepted as a healthy trace.
 
 use proptest::collection;
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
-use dss_trace::{read_trace, write_trace, DataClass, LockClass, LockToken, Tracer};
+use dss_trace::{read_trace_blocks, write_trace_blocks, DataClass, LockClass, LockToken, Tracer};
 
-/// Encodes a small valid trace with every event kind represented.
+/// Encodes a small valid trace with every event kind represented, two
+/// events per block so the stream has several blocks and an end marker.
 fn valid_trace_bytes() -> Vec<u8> {
     let t = Tracer::new(1);
     t.read(0x1000, 8, DataClass::Data);
@@ -18,7 +19,7 @@ fn valid_trace_bytes() -> Vec<u8> {
     t.lock_release(LockToken::new(0x40, LockClass::LockMgr));
     t.busy(123);
     let mut bytes = Vec::new();
-    write_trace(&t.take(), &mut bytes).expect("in-memory write cannot fail");
+    write_trace_blocks(&t.take(), &mut bytes, 2).expect("in-memory write cannot fail");
     bytes
 }
 
@@ -26,24 +27,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Arbitrary bytes never panic the decoder, and anything it accepts must
-    /// at least have carried the format magic.
+    /// at least have carried the format magic. The same soup behind a valid
+    /// stream header reaches the block decoder itself.
     #[test]
     fn byte_soup_never_panics(bytes in collection::vec(any::<u8>(), 0..512)) {
-        match read_trace(&bytes[..]) {
-            Ok(_) => prop_assert!(bytes.len() >= 8 && &bytes[..8] == b"DSSTRC02"),
+        match read_trace_blocks(&bytes[..]) {
+            Ok(_) => prop_assert!(bytes.len() >= 8 && &bytes[..8] == b"DSSTRB01"),
             Err(e) => prop_assert!(!e.kind().is_empty()),
+        }
+        let mut behind_header = valid_trace_bytes()[..24].to_vec();
+        behind_header.extend_from_slice(&bytes);
+        if let Err(e) = read_trace_blocks(&behind_header[..]) {
+            prop_assert!(!e.kind().is_empty());
         }
     }
 
     /// Flipping any single byte of a valid trace is always detected: the
-    /// magic check, the per-event validation, or the trailing checksum must
-    /// catch it — a one-byte corruption can never round-trip as healthy.
+    /// magic check, the per-event validation, the chunk index, or a block
+    /// checksum must catch it — a one-byte corruption can never round-trip as healthy.
     #[test]
     fn single_byte_flip_is_always_detected(pos in 0usize..1000, flip in 1u8..=255) {
         let mut bytes = valid_trace_bytes();
         let pos = pos % bytes.len();
         bytes[pos] ^= flip;
-        let err = match read_trace(&bytes[..]) {
+        let err = match read_trace_blocks(&bytes[..]) {
             Ok(_) => return Err(TestCaseError::fail(format!(
                 "flip of byte {pos} by {flip:#04x} was silently absorbed"
             ))),
@@ -55,14 +62,14 @@ proptest! {
         );
     }
 
-    /// Every proper prefix of a valid trace is rejected (the trailing
-    /// checksum means even an event-aligned cut cannot look complete).
+    /// Every proper prefix of a valid trace is rejected (the end marker
+    /// means even a block-aligned cut cannot look complete).
     #[test]
     fn every_truncation_is_rejected(cut in 0usize..1000) {
         let bytes = valid_trace_bytes();
         let cut = cut % bytes.len();
         prop_assert!(
-            read_trace(&bytes[..cut]).is_err(),
+            read_trace_blocks(&bytes[..cut]).is_err(),
             "prefix of {cut}/{} bytes decoded as a complete trace", bytes.len()
         );
     }
@@ -73,6 +80,6 @@ proptest! {
 #[test]
 fn the_fixture_is_actually_valid() {
     let bytes = valid_trace_bytes();
-    let trace = read_trace(&bytes[..]).expect("fixture decodes");
+    let trace = read_trace_blocks(&bytes[..]).expect("fixture decodes");
     assert_eq!(trace.len(), 5);
 }
